@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation/usage error, 3 numeric or IO failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import enum
 import hashlib
 import json
@@ -58,15 +57,6 @@ def _quad(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"expected x,y,px,py but got {text!r}")
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RC3BP_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n >= 1:
-            return n
-    return min(4, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +149,18 @@ def _cmd_critical_roots(args) -> int:
 
 
 def _raster_csv_lines(raster: regions.RegionRaster):
+    """Yield the header, then one string per raster row of ``x,y,label`` lines.
+
+    A raster has only nx distinct x and ny distinct y values, so each is
+    formatted once and the cells are joined from those strings.
+    """
     yield "x,y,label\n"
-    xs = raster.x_centers()
-    ys = raster.y_centers()
-    legend = raster.legend
-    labels = raster.labels
-    for j, yv in enumerate(ys):
+    x_heads = [_fmt(xv) + "," for xv in raster.x_centers()]
+    label_tails = ["," + name + "\n" for name in raster.legend]
+    for yv, row in zip(raster.y_centers(), raster.labels.tolist()):
         ytxt = _fmt(yv)
-        row = labels[j]
-        for i, xv in enumerate(xs):
-            yield f"{_fmt(xv)},{ytxt},{legend[row[i]]}\n"
+        tails = [ytxt + tail for tail in label_tails]
+        yield "".join([head + tails[k] for head, k in zip(x_heads, row)])
 
 
 def _write_figure(dataset: regions.FigureDataset, csv_path: str, json_path: str) -> None:
@@ -238,13 +230,14 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
     """Regenerate every figure dataset into out_dir and write the manifest."""
     os.makedirs(out_dir, exist_ok=True)
 
-    def build(figure: int) -> list[dict]:
+    entries: list[dict] = []
+    for figure in regions.FIGURES:
         dataset = regions.figure_dataset(figure, resolution=resolution)
         stem = f"figure-{figure:02d}"
         csv_path = os.path.join(out_dir, stem + ".csv")
         json_path = os.path.join(out_dir, stem + ".json")
         _write_figure(dataset, csv_path, json_path)
-        return [
+        entries.extend(
             {
                 "file": os.path.basename(p),
                 "subject": f"figure-{figure}",
@@ -252,17 +245,7 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
                 "sha256": _sha256(p),
             }
             for p in (csv_path, json_path)
-        ]
-
-    entries: list[dict] = []
-    threads = _thread_count()
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(build, regions.FIGURES):
-                entries.extend(result)
-    else:
-        for figure in regions.FIGURES:
-            entries.extend(build(figure))
+        )
     entries.sort(key=lambda e: e["file"])
     manifest = {
         "artifact": "rc3bp",

@@ -73,17 +73,10 @@ class RegionRaster:
             raise ValueError(f"labels shape {self.labels.shape!r} != {(ny, nx)!r}")
 
     def x_centers(self) -> np.ndarray:
-        lo, hi = self.x_range
-        nx = self.resolution[0]
-        return lo + (np.arange(nx) + 0.5) * (hi - lo) / nx
+        return _centers(self.x_range, self.resolution[0])
 
     def y_centers(self) -> np.ndarray:
-        lo, hi = self.y_range
-        ny = self.resolution[1]
-        return lo + (np.arange(ny) + 0.5) * (hi - lo) / ny
-
-    def label_name(self, ix: int, iy: int) -> str:
-        return self.legend[int(self.labels[iy, ix])]
+        return _centers(self.y_range, self.resolution[1])
 
 
 def _centers(rng: tuple[float, float], n: int) -> np.ndarray:

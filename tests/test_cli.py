@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from rc3bp import cli, regions
 from rc3bp.cli import main
 
 
@@ -165,6 +166,28 @@ def test_regions_writes_csv_and_json(tmp_path, capsys):
     assert meta["parameters"]["mu"] == 0.2
     assert "polylines" in meta["curves"]
     assert meta["legend"][0] == "Inadmissible"
+
+
+def _reference_csv(raster: regions.RegionRaster) -> str:
+    """The per-cell encoder: two float formats per cell, row-major in y."""
+    lines = ["x,y,label\n"]
+    for j, yv in enumerate(raster.y_centers()):
+        for i, xv in enumerate(raster.x_centers()):
+            label = raster.legend[raster.labels[j][i]]
+            lines.append(f"{format(float(xv), '.17g')},{format(float(yv), '.17g')},{label}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("figure", regions.FIGURES)
+def test_raster_csv_matches_per_cell_reference(figure):
+    raster = regions.figure_dataset(figure, resolution=16).raster
+    assert "".join(cli._raster_csv_lines(raster)) == _reference_csv(raster)
+
+
+def test_raster_csv_rectangular_keeps_axes_apart():
+    raster = regions.admissible_region_raster(resolution=(7, 5))
+    assert raster.labels.shape == (5, 7)
+    assert "".join(cli._raster_csv_lines(raster)) == _reference_csv(raster)
 
 
 def test_regions_io_failure_exits_three(capsys):
