@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import AtPrimary, InadmissibleParams, NotOnLimitLocus, RootNotBracketed
 from .params import SystemParams, is_admissible
 
@@ -263,13 +263,6 @@ def beta2_star(x_star: float | np.ndarray, mu: float):
     return (3.0 * x_star + mu) * (x_star + mu - 1.0) ** 3 / (2.0 * mu)
 
 
-def g_of(x_star: float | np.ndarray, mu: float):
-    """G = beta1* beta2* - beta1* - beta2*: admissibility defect of the tangency point."""
-    b1 = beta1_star(x_star, mu)
-    b2 = beta2_star(x_star, mu)
-    return b1 * b2 - b1 - b2
-
-
 def g_tilde(x_star: float | np.ndarray, mu: float):
     """4 mu (1-mu) G: polynomial in (x*, mu), pole-free at mu in {0, 1}."""
     p1 = (3.0 * x_star + mu - 1.0) * (x_star + mu) ** 3
@@ -302,7 +295,7 @@ def _xr1(mu: float) -> float:
         raise RootNotBracketed(
             f"g_tilde(., mu={mu!r}) does not change sign exactly once on ({a!r}, {b!r})"
         )
-    return float(brentq(lambda x: g_tilde(x, mu), a, b, xtol=1e-15))
+    return brentq(lambda x: g_tilde(x, mu), a, b, xtol=1e-15)
 
 
 def critical_roots(mu: float) -> tuple[float, float]:
@@ -310,10 +303,14 @@ def critical_roots(mu: float) -> tuple[float, float]:
 
     x_r1 is bisected inside (-mu, -mu/3); x_r2 follows from the mirror
     identity x_r2(mu) = -x_r1(1-mu) and is confirmed to be a root inside
-    ((1-mu)/3, 1-mu).
+    ((1-mu)/3, 1-mu). Where 1 - mu rounds to 1 the mirrored mass ratio
+    is not representable, so the series is returned; its neglected terms
+    are below one ulp there.
     """
     if not (0.0 < mu <= 0.5):
         raise ValueError(f"mu must lie in (0, 1/2], got {mu!r}")
+    if 1.0 - mu == 1.0:
+        return critical_roots_series(mu)
     xr1 = _xr1(mu)
     xr2 = -_xr1(1.0 - mu) if mu != 0.5 else -xr1
     if not ((1.0 - mu) / 3.0 < xr2 < 1.0 - mu):
@@ -352,21 +349,23 @@ def critical_roots_series(mu: float) -> tuple[float, float]:
 
 
 def _invert_increasing(fn, target: float, lo: float, hi: float | None) -> float | None:
-    """Solve fn(s) = target for increasing fn on [lo, hi); doubling search if hi is None."""
+    """Solve fn(s) = target for increasing fn on [lo, hi); doubling search if hi is None.
+
+    None when the target is not bracketed, including a doubling search
+    that runs out of finite doubles.
+    """
     if hi is None:
         hi = max(1.0, lo * 2.0 + 1.0)
-        for _ in range(200):
-            if fn(hi) >= target:
-                break
+        while fn(hi) < target:
             hi *= 2.0
-        else:
-            return None
+            if math.isinf(hi):
+                return None
     flo, fhi = fn(lo) - target, fn(hi) - target
-    if flo > 0.0 or fhi < 0.0:
+    if not (flo <= 0.0 <= fhi):     # also rejects inf - inf at an infinite target
         return None
     if flo == 0.0:
         return lo
-    return float(brentq(lambda s: fn(s) - target, lo, hi, xtol=1e-15))
+    return brentq(lambda s: fn(s) - target, lo, hi, xtol=1e-15)
 
 
 def band_edge_i1(mu: float, beta1: float) -> float:
@@ -375,11 +374,17 @@ def band_edge_i1(mu: float, beta1: float) -> float:
     Inverts beta1* = s^3 (3s + 2mu + 1)/(2(1-mu)) (s = -(x+mu), increasing
     0 -> inf) at -beta1 and evaluates beta2* there; two roots exist for
     beta2 strictly above the returned value, one double root on it.
+    RootNotBracketed when the inversion or the edge leaves the doubles.
     """
     s_hat = _invert_increasing(
         lambda s: s**3 * (3.0 * s + 2.0 * mu + 1.0) / (2.0 * (1.0 - mu)), -beta1, 0.0, None
     )
-    return (3.0 * s_hat + 2.0 * mu) * (1.0 + s_hat) ** 3 / (2.0 * mu)
+    if s_hat is None:
+        raise RootNotBracketed(f"beta1* = {-beta1!r} not reached on the S2/I1 tangency curve")
+    edge = (3.0 * s_hat + 2.0 * mu) * (1.0 + s_hat) ** 3 / (2.0 * mu)
+    if not math.isfinite(edge):
+        raise RootNotBracketed(f"S2/I1 band edge at beta1 = {beta1!r} overflows")
+    return edge
 
 
 def band_edge_i2_s2(mu: float, beta1: float) -> float | None:
@@ -408,7 +413,12 @@ def band_edge_i3(mu: float, beta2: float) -> float:
     u_hat = _invert_increasing(
         lambda u: (3.0 * u + 3.0 - 2.0 * mu) * u**3 / (2.0 * mu), -beta2, 0.0, None
     )
-    return (3.0 * u_hat + 2.0 - 2.0 * mu) * (1.0 + u_hat) ** 3 / (2.0 * (1.0 - mu))
+    if u_hat is None:
+        raise RootNotBracketed(f"beta2* = {-beta2!r} not reached on the I3 tangency curve")
+    edge = (3.0 * u_hat + 2.0 - 2.0 * mu) * (1.0 + u_hat) ** 3 / (2.0 * (1.0 - mu))
+    if not math.isfinite(edge):
+        raise RootNotBracketed(f"R'4/I3 band edge at beta2 = {beta2!r} overflows")
+    return edge
 
 
 def band_edge_i2_r4(mu: float, beta2: float) -> float | None:
@@ -506,7 +516,7 @@ def _bracket_roots(params: SystemParams, xs: np.ndarray, vals: np.ndarray) -> li
         roots.append(float(xs[i]))
     flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
     for i in flips:
-        r = float(brentq(lambda x: f_axis(params, x), xs[i], xs[i + 1], xtol=1e-15))
+        r = brentq(lambda x: f_axis(params, x), xs[i], xs[i + 1], xtol=1e-15)
         for _ in range(3):
             fp = f_axis_prime(params, r)
             if fp == 0.0:
@@ -546,7 +556,7 @@ def _extrema(params: SystemParams, interval: Interval) -> list[float]:
     sign = np.sign(dv)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
     return [
-        float(brentq(lambda x: f_axis_prime(params, x), xs[i], xs[i + 1], xtol=1e-15))
+        brentq(lambda x: f_axis_prime(params, x), xs[i], xs[i + 1], xtol=1e-15)
         for i in flips
     ]
 

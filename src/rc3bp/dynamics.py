@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CollisionSingularity, StepSizeUnderflow
 from .params import SystemParams
@@ -128,6 +127,18 @@ def eom(params: SystemParams, state: PhaseState) -> tuple[float, float, float, f
 def equilibrium_state(params: SystemParams, x: float, y: float) -> PhaseState:
     """Phase point with the momenta (px, py) = (-y, x) that freeze (x, y)."""
     return PhaseState(x, y, -y, x)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first integration.
+
+    Only `integrate` needs scipy, so the rest of the package (and the
+    CLI's start-up) does without it. It stays a module attribute, looked
+    up at call time, so that perfbench's traced run can wrap it.
+    """
+    from scipy.integrate import solve_ivp as _solve_ivp
+
+    return _solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)

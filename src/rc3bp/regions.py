@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import collinear
+from ._brent import brentq
 from .collinear import Interval
 from .errors import DegenerateGamma
 from .stability import _BOUNDARY_ATOL, StabilityClass, critical_mu, gamma_mu

@@ -143,6 +143,14 @@ def test_critical_roots_series_flag(capsys):
     assert abs(d["x_r2_series"] - d["x_r2"]) <= 10.0 * 0.01**1.25
 
 
+def test_critical_roots_tiny_mu_returns_series(capsys):
+    code, out, _ = run(capsys, "critical-roots", "--mu", "1e-80", "--series")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["x_r1"], d["x_r2"]) == (d["x_r1_series"], d["x_r2_series"])
+    assert d["x_r1"] == -1e-80 / 3.0
+
+
 def test_critical_roots_validates_mu(capsys):
     code, _, _ = run(capsys, "critical-roots", "--mu", "0.9")
     assert code == 2

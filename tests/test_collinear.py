@@ -10,6 +10,7 @@ from rc3bp.collinear import (
     BetaRegion,
     Interval,
     PredictedCount,
+    ResolvedCount,
     band_edge_i1,
     band_edge_i2_r4,
     band_edge_i2_s2,
@@ -32,7 +33,7 @@ from rc3bp.collinear import (
     predicted_root_count,
     resolved_root_count,
 )
-from rc3bp.errors import AtPrimary, InadmissibleParams, NotOnLimitLocus
+from rc3bp.errors import AtPrimary, InadmissibleParams, NotOnLimitLocus, RootNotBracketed
 from rc3bp.params import SystemParams
 
 
@@ -209,6 +210,46 @@ def test_band_edge_none_when_band_is_empty():
     assert band_edge_i2_r4(0.2, -0.5) is None
 
 
+@pytest.mark.parametrize(
+    "params, interval, expected",
+    [
+        # the edge grows like |beta| (4e300 on I1, 2.5e299 on I3 at mu = 0.2),
+        # so a free beta of 1 or 1e300 lies below it and 1e301 above it
+        (SystemParams(0.2, -1e300, 1.0), Interval.I1, ResolvedCount(0)),
+        (SystemParams(0.2, -1e300, 1e301), Interval.I1, ResolvedCount(2)),
+        (SystemParams(0.2, 1.0, -1e300), Interval.I3, ResolvedCount(0)),
+        (SystemParams(0.2, 1e301, -1e300), Interval.I3, ResolvedCount(2)),
+    ],
+)
+def test_band_edges_at_beta_1e300(params, interval, expected):
+    # the doubling search for the tangency abscissa runs past 2**200 here
+    assert resolved_root_count(params, interval) == expected
+    mirrored = Interval.I3 if interval is Interval.I1 else Interval.I1
+    assert resolved_root_count(params.mirrored(), mirrored) == expected
+
+
+@pytest.mark.parametrize(
+    "params, interval",
+    [
+        (SystemParams(0.2, -1e308, 1.0), Interval.I1),
+        (SystemParams(0.2, -1e308, 1e308), Interval.I1),
+        (SystemParams(0.8, 1.0, -1e308), Interval.I3),
+        (SystemParams(0.8, 1e308, -1e308), Interval.I3),
+    ],
+)
+def test_band_edge_past_the_largest_double_is_a_typed_error(params, interval):
+    # the edge (about 4e308) overflows to inf; comparing against it would
+    # take every finite free beta for a point on the edge
+    with pytest.raises(RootNotBracketed, match="overflows"):
+        resolved_root_count(params, interval)
+
+
+def test_unreachable_band_edge_is_a_typed_error():
+    for band_edge in (band_edge_i1, band_edge_i3):
+        with pytest.raises(RootNotBracketed):
+            band_edge(0.2, -math.inf)
+
+
 def test_tangency_curves_produce_double_roots():
     # solving F(x*) = F'(x*) = 0 for (beta1, beta2) yields the curve values
     # up to an interval-dependent sign: the |.| factors in the axis field
@@ -241,6 +282,14 @@ def test_critical_roots_bracket_and_mirror():
         m = 1.0 - mu
         y1 = brentq(lambda x: g_tilde(x, m), -m, -m / 3.0, xtol=1e-15)
         assert x2 == pytest.approx(-y1, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu", [1e-17, 1e-80, 5e-324])
+def test_critical_roots_fall_back_to_series_where_one_minus_mu_rounds(mu):
+    # x_r1(1 - mu) is out of reach once 1 - mu == 1; the series' neglected
+    # terms are below one ulp there
+    assert 1.0 - mu == 1.0
+    assert critical_roots(mu) == critical_roots_series(mu)
 
 
 def test_gtilde_endpoint_values():
