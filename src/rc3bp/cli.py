@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, collinear, dynamics, regions, stability, twobody
 from .collinear import Interval
-from .errors import NumericError, ValidationError
+from .errors import Rc3bpError, ValidationError
 from .params import SystemParams
 from .triangular import classify_location, triangular_points
 
@@ -191,8 +191,11 @@ def _cmd_integrate(args) -> int:
     state = dynamics.PhaseState(*args.state)
     sample_times = None
     if args.every is not None:
-        if args.every <= 0.0:
-            raise ValidationError(f"--every must be positive, got {args.every!r}")
+        if not (0.0 < args.every < np.inf and 0.0 < args.t_end < np.inf):
+            raise ValidationError(
+                f"--every and --t-end must be positive and finite, got {args.every!r} and "
+                f"{args.t_end!r}"
+            )
         n = int(np.floor(args.t_end / args.every + 1e-9))
         times = [i * args.every for i in range(n + 1)]
         if times[-1] < args.t_end - 1e-12 * max(1.0, args.t_end):
@@ -353,15 +356,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+    except Rc3bpError as exc:
+        kind = "error" if isinstance(exc, ValidationError) else "numeric failure"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         target = getattr(exc, "filename", None)
         where = f" ({target})" if target else ""

@@ -33,6 +33,7 @@ import numpy as np
 
 from ._brent import brentq
 from .errors import AtPrimary, InadmissibleParams, NotOnLimitLocus, RootNotBracketed
+from .errors import ValidationError
 from .params import SystemParams, is_admissible
 
 # |F| and |F'| ceilings under which an interior extremum counts as a
@@ -253,14 +254,32 @@ def _axis_prediction(interval: Interval, beta: float, one_interval: Interval) ->
 # tangency curves and the critical roots
 
 
+# The curves in the frame of the primary the tangency sits next to (the
+# near body, mass m_near; the other is the far body, mass m_far), at the
+# signed distance s outward from it: s > 0 beyond it, -1 < s < 0 toward
+# the far body. Body 1 takes (m_near, m_far) = (1-mu, mu), s = -(x+mu);
+# body 2 takes (mu, 1-mu), s = x+mu-1: the mirror is an exact swap of
+# arguments, with no 1 - (1-mu). Beyond the near body its beta is -beta*.
+
+
+def _near_star(s, m_near: float, m_far: float):
+    """The near body's beta*: s^3 (3s + 2 m_far + 1) / (2 m_near)."""
+    return s**3 * (3.0 * s + 2.0 * m_far + 1.0) / (2.0 * m_near)
+
+
+def _far_star(s, m_far: float):
+    """The far body's beta*: (3s + 2 m_far)(1 + s)^3 / (2 m_far)."""
+    return (3.0 * s + 2.0 * m_far) * (1.0 + s) ** 3 / (2.0 * m_far)
+
+
 def beta1_star(x_star: float | np.ndarray, mu: float):
     """(3x+mu-1)(x+mu)**3 / (2(1-mu))."""
-    return (3.0 * x_star + mu - 1.0) * (x_star + mu) ** 3 / (2.0 * (1.0 - mu))
+    return _near_star(-(x_star + mu), 1.0 - mu, mu)
 
 
 def beta2_star(x_star: float | np.ndarray, mu: float):
     """(3x+mu)(x+mu-1)**3 / (2 mu)."""
-    return (3.0 * x_star + mu) * (x_star + mu - 1.0) ** 3 / (2.0 * mu)
+    return _far_star(-(x_star + mu), mu)
 
 
 def g_tilde(x_star: float | np.ndarray, mu: float):
@@ -276,6 +295,16 @@ def g_tilde_zero_mu(x_star: float | np.ndarray):
     return 3.0 * x * (x - 1.0) ** 4 * (3.0 * x**3 + 2.0 * x**2 + 2.0 * x + 2.0)
 
 
+# At and below this mu, _xr1 is the series: its remainder (about 0.3 mu**5)
+# is under one ulp of mu/3, while g_tilde(-mu/3) = 16 mu**4/27 sinks under
+# the polynomial's rounding error from about 7e-6 down.
+_XR1_SERIES_MU = 1e-4
+
+# the x_r2 series' coefficients of q, q**2, q**3 (q = mu**(1/4)) and mu
+_XR2_C = ((4.0 / 27.0) ** 0.25, 11.0 / (36.0 * math.sqrt(3.0)),
+          67.0 / (864.0 * 12.0**0.25), 497.0 / 486.0)
+
+
 @lru_cache(maxsize=256)
 def _xr1(mu: float) -> float:
     """The root of g_tilde(., mu) in (-mu, -mu/3).
@@ -284,7 +313,9 @@ def _xr1(mu: float) -> float:
     so a sign change is guaranteed; a fine scan confirms it is unique.
     """
     if not (0.0 < mu < 1.0):
-        raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
+        raise ValidationError(f"mu must lie in (0, 1), got {mu!r}")
+    if mu <= _XR1_SERIES_MU:
+        return critical_roots_series(mu)[0]
     a, b = -mu, -mu / 3.0
     xs = np.linspace(a, b, 513)
     vals = np.asarray(g_tilde(xs, mu))
@@ -301,14 +332,14 @@ def _xr1(mu: float) -> float:
 def critical_roots(mu: float) -> tuple[float, float]:
     """(x_r1, x_r2): the band-terminating roots of G(., mu).
 
-    x_r1 is bisected inside (-mu, -mu/3); x_r2 follows from the mirror
-    identity x_r2(mu) = -x_r1(1-mu) and is confirmed to be a root inside
-    ((1-mu)/3, 1-mu). Where 1 - mu rounds to 1 the mirrored mass ratio
-    is not representable, so the series is returned; its neglected terms
-    are below one ulp there.
+    x_r1 is bisected inside (-mu, -mu/3), or is the series for mu <= 1e-4;
+    x_r2 follows from the mirror identity x_r2(mu) = -x_r1(1-mu) and is
+    confirmed to be a root inside ((1-mu)/3, 1-mu). Where 1 - mu rounds to
+    1 the mirrored mass ratio is not representable, so the series is
+    returned; its neglected terms are below one ulp there.
     """
     if not (0.0 < mu <= 0.5):
-        raise ValueError(f"mu must lie in (0, 1/2], got {mu!r}")
+        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
     if 1.0 - mu == 1.0:
         return critical_roots_series(mu)
     xr1 = _xr1(mu)
@@ -326,17 +357,24 @@ def critical_roots_series(mu: float) -> tuple[float, float]:
              + 67/(864 * 12**(1/4)) mu**(3/4) - (497/486) mu
     """
     if not (0.0 < mu <= 0.5):
-        raise ValueError(f"mu must lie in (0, 1/2], got {mu!r}")
-    xr1 = -mu / 3.0 - (8.0 / 81.0) * mu**4
+        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+    c1, c2, c3, c4 = _XR2_C
     q = mu**0.25
-    xr2 = (
-        1.0
-        - (4.0 / 27.0) ** 0.25 * q
-        + 11.0 / (36.0 * math.sqrt(3.0)) * q**2
-        + 67.0 / (864.0 * 12.0**0.25) * q**3
-        - 497.0 / 486.0 * mu
-    )
-    return xr1, xr2
+    return -mu / 3.0 - (8.0 / 81.0) * mu**4, 1.0 - c1 * q + c2 * q**2 + c3 * q**3 - c4 * mu
+
+
+def _critical_gap(m_near: float, m_far: float) -> float:
+    """Distance from the near body to the critical root between the primaries.
+
+    In the near body's frame that root is x_r1 at the far mass. Where m_far
+    rounds to 1 it is 1 - mu - x_r2 from the series in mu = m_near, so
+    nothing is subtracted from 1.
+    """
+    if m_far == 1.0:
+        c1, c2, c3, c4 = _XR2_C
+        q = m_near**0.25
+        return c1 * q - c2 * q**2 - c3 * q**3 + (c4 - 1.0) * m_near
+    return _xr1(m_far) + m_far
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +384,7 @@ def critical_roots_series(mu: float) -> tuple[float, float]:
 # The tangency curve (beta1*(x*), beta2*(x*)) over the relevant x* range
 # is inverted in one beta (both beta*'s are strictly monotone there);
 # comparing the other beta against its curve value decides the count.
+# Body 2's bands are body 1's with the masses swapped.
 
 
 def _invert_increasing(fn, target: float, lo: float, hi: float | None) -> float | None:
@@ -368,6 +407,27 @@ def _invert_increasing(fn, target: float, lo: float, hi: float | None) -> float 
     return brentq(lambda s: fn(s) - target, lo, hi, xtol=1e-15)
 
 
+def _outer_band_edge(m_near: float, m_far: float, beta_near: float, band: str) -> float:
+    """The far beta closing the band beyond the near body (see band_edge_i1)."""
+    s_hat = _invert_increasing(lambda s: _near_star(s, m_near, m_far), -beta_near, 0.0, None)
+    if s_hat is None:
+        raise RootNotBracketed(f"the {band} tangency curve does not reach beta* = {-beta_near!r}")
+    edge = _far_star(s_hat, m_far)
+    if not math.isfinite(edge):
+        raise RootNotBracketed(f"the {band} band edge at beta = {beta_near!r} overflows")
+    return edge
+
+
+def _middle_band_edge(m_near: float, m_far: float, beta_near: float) -> float | None:
+    """The far beta closing the band between the primaries, or None (see band_edge_i2_s2)."""
+    t_hat = _invert_increasing(
+        lambda t: -_near_star(-t, m_near, m_far), -beta_near, 0.0, 2.0 * m_far / 3.0
+    )
+    if t_hat is None or t_hat >= _critical_gap(m_near, m_far):
+        return None
+    return _far_star(-t_hat, m_far)
+
+
 def band_edge_i1(mu: float, beta1: float) -> float:
     """The beta2 value closing the S2/I1 double-root band at this beta1 < 0.
 
@@ -376,15 +436,7 @@ def band_edge_i1(mu: float, beta1: float) -> float:
     beta2 strictly above the returned value, one double root on it.
     RootNotBracketed when the inversion or the edge leaves the doubles.
     """
-    s_hat = _invert_increasing(
-        lambda s: s**3 * (3.0 * s + 2.0 * mu + 1.0) / (2.0 * (1.0 - mu)), -beta1, 0.0, None
-    )
-    if s_hat is None:
-        raise RootNotBracketed(f"beta1* = {-beta1!r} not reached on the S2/I1 tangency curve")
-    edge = (3.0 * s_hat + 2.0 * mu) * (1.0 + s_hat) ** 3 / (2.0 * mu)
-    if not math.isfinite(edge):
-        raise RootNotBracketed(f"S2/I1 band edge at beta1 = {beta1!r} overflows")
-    return edge
+    return _outer_band_edge(1.0 - mu, mu, beta1, "S2/I1")
 
 
 def band_edge_i2_s2(mu: float, beta1: float) -> float | None:
@@ -395,13 +447,7 @@ def band_edge_i2_s2(mu: float, beta1: float) -> float | None:
     parameters stop being admissible), leaves no roots for any beta2.
     Otherwise two roots exist for beta2 strictly below the returned value.
     """
-    t_hi = 2.0 * mu / 3.0
-    t_hat = _invert_increasing(
-        lambda t: -(3.0 * t - 2.0 * mu - 1.0) * t**3 / (2.0 * (1.0 - mu)), -beta1, 0.0, t_hi
-    )
-    if t_hat is None or t_hat >= _xr1(mu) + mu:
-        return None
-    return (3.0 * t_hat - 2.0 * mu) * (t_hat - 1.0) ** 3 / (2.0 * mu)
+    return _middle_band_edge(1.0 - mu, mu, beta1)
 
 
 def band_edge_i3(mu: float, beta2: float) -> float:
@@ -410,15 +456,7 @@ def band_edge_i3(mu: float, beta2: float) -> float:
     Mirror of band_edge_i1: inverts beta2* = (3u + 3 - 2mu) u^3/(2mu)
     (u = x+mu-1) at -beta2; two roots exist for beta1 strictly above.
     """
-    u_hat = _invert_increasing(
-        lambda u: (3.0 * u + 3.0 - 2.0 * mu) * u**3 / (2.0 * mu), -beta2, 0.0, None
-    )
-    if u_hat is None:
-        raise RootNotBracketed(f"beta2* = {-beta2!r} not reached on the I3 tangency curve")
-    edge = (3.0 * u_hat + 2.0 - 2.0 * mu) * (1.0 + u_hat) ** 3 / (2.0 * (1.0 - mu))
-    if not math.isfinite(edge):
-        raise RootNotBracketed(f"R'4/I3 band edge at beta2 = {beta2!r} overflows")
-    return edge
+    return _outer_band_edge(mu, 1.0 - mu, beta2, "R'4/I3")
 
 
 def band_edge_i2_r4(mu: float, beta2: float) -> float | None:
@@ -427,16 +465,7 @@ def band_edge_i2_r4(mu: float, beta2: float) -> float | None:
     Mirror of band_edge_i2_s2 with v = 1-mu-x and the x_r2 cutoff; two
     roots exist for beta1 strictly below the returned value.
     """
-    v_hi = 2.0 * (1.0 - mu) / 3.0
-    v_hat = _invert_increasing(
-        lambda v: (3.0 - 2.0 * mu - 3.0 * v) * v**3 / (2.0 * mu), -beta2, 0.0, v_hi
-    )
-    if v_hat is None:
-        return None
-    xr2 = -_xr1(1.0 - mu)
-    if v_hat >= 1.0 - mu - xr2:
-        return None
-    return (2.0 - 2.0 * mu - 3.0 * v_hat) * (1.0 - v_hat) ** 3 / (2.0 * (1.0 - mu))
+    return _middle_band_edge(mu, 1.0 - mu, beta2)
 
 
 def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCount:
@@ -462,22 +491,16 @@ def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCou
         # excluded primary abscissa, so the open interval holds none.
         return ResolvedCount(0)
 
-    mu, b1, b2 = params.mu, params.beta1, params.beta2
-    if region is BetaRegion.S2 and interval is Interval.I1:
-        edge = band_edge_i1(mu, b1)
-        return _band_compare(b2 - edge, abs(edge), above_exists=True)
-    if region is BetaRegion.S2 and interval is Interval.I2:
-        edge = band_edge_i2_s2(mu, b1)
-        if edge is None:
-            return ResolvedCount(0)
-        return _band_compare(b2 - edge, abs(edge), above_exists=False)
-    if interval is Interval.I3:
-        edge = band_edge_i3(mu, b2)
-        return _band_compare(b1 - edge, abs(edge), above_exists=True)
-    edge = band_edge_i2_r4(mu, b2)
+    # S2 bands sit at body 1; the R'4 bands are their mirror at body 2
+    body1 = region is BetaRegion.S2
+    near, free = (params.beta1, params.beta2) if body1 else (params.beta2, params.beta1)
+    if interval is Interval.I2:
+        edge = (band_edge_i2_s2 if body1 else band_edge_i2_r4)(params.mu, near)
+    else:
+        edge = (band_edge_i1 if body1 else band_edge_i3)(params.mu, near)
     if edge is None:
         return ResolvedCount(0)
-    return _band_compare(b1 - edge, abs(edge), above_exists=False)
+    return _band_compare(free - edge, abs(edge), above_exists=interval is not Interval.I2)
 
 
 def _band_compare(diff: float, scale: float, above_exists: bool) -> ResolvedCount:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CollisionSingularity, StepSizeUnderflow
+from .errors import CollisionSingularity, StepSizeUnderflow, ValidationError
 from .params import SystemParams
 
 # Integration stops (reported, not raised) once min(rho1, rho2) drops below
@@ -69,6 +69,11 @@ def primary_distances(mu: float, x: float, y: float) -> tuple[float, float]:
     return math.hypot(x + mu, y), math.hypot(x - 1.0 + mu, y)
 
 
+def _charges(params: SystemParams) -> tuple[float, float, float]:
+    """(mu, k1, k2) with V = k1/rho1 + k2/rho2: k1 = beta1 (1-mu), k2 = beta2 mu."""
+    return params.mu, params.beta1 * (1.0 - params.mu), params.beta2 * params.mu
+
+
 def potential(params: SystemParams, x: float, y: float) -> PotentialSample:
     """Evaluate V, its gradient, and its Hessian at (x, y).
 
@@ -76,14 +81,12 @@ def potential(params: SystemParams, x: float, y: float) -> PotentialSample:
     3D kernel is not harmonic: Vxx + Vyy = beta1(1-mu)/rho1**3
     + beta2 mu/rho2**3.
     """
-    mu, b1, b2 = params.mu, params.beta1, params.beta2
+    mu, k1, k2 = _charges(params)
     dx1, dx2 = x + mu, x - 1.0 + mu
     rho1, rho2 = math.hypot(dx1, y), math.hypot(dx2, y)
     if rho1 == 0.0 or rho2 == 0.0:
         raise CollisionSingularity(f"point ({x!r}, {y!r}) coincides with a primary")
 
-    k1 = b1 * (1.0 - mu)   # numerator of the body-1 term
-    k2 = b2 * mu
     r13, r23 = rho1**3, rho2**3
     r15, r25 = rho1**5, rho2**5
 
@@ -107,21 +110,44 @@ def omega_gradient(params: SystemParams, x: float, y: float) -> tuple[float, flo
     return x + s.Vx, y + s.Vy
 
 
+def _require_off_primaries(mu: float, x: float, y: float) -> None:
+    if 0.0 in primary_distances(mu, x, y):
+        raise CollisionSingularity(f"point ({x!r}, {y!r}) coincides with a primary")
+
+
+def _energy(hypot, mu: float, k1: float, k2: float, x, y, px, py):
+    """H at one state (hypot=math.hypot) or at arrays of states (np.hypot)."""
+    pot = k1 / hypot(x + mu, y) + k2 / hypot(x - 1.0 + mu, y)
+    return 0.5 * (px**2 + py**2) + y * px - x * py - pot
+
+
 def hamiltonian(params: SystemParams, state: PhaseState) -> float:
-    """H = (px**2 + py**2)/2 + (y px - x py) - V."""
-    s = potential(params, state.x, state.y)
-    return 0.5 * (state.px**2 + state.py**2) + state.y * state.px - state.x * state.py - s.V
+    """H = (px**2 + py**2)/2 + (y px - x py) - V; raises CollisionSingularity at a primary."""
+    mu, k1, k2 = _charges(params)
+    _require_off_primaries(mu, state.x, state.y)
+    return _energy(math.hypot, mu, k1, k2, state.x, state.y, state.px, state.py)
+
+
+def _canonical_field(mu: float, k1: float, k2: float):
+    """The canonical equations as solve_ivp's (t, v) -> (x', y', px', py')."""
+
+    def rhs(t: float, v) -> list[float]:
+        x, y, px, py = v
+        dx1, dx2 = x + mu, x - 1.0 + mu
+        r13 = (dx1 * dx1 + y * y) ** 1.5
+        r23 = (dx2 * dx2 + y * y) ** 1.5
+        vx = -k1 * dx1 / r13 - k2 * dx2 / r23
+        vy = -k1 * y / r13 - k2 * y / r23
+        return [y + px, -x + py, vx + py, vy - px]
+
+    return rhs
 
 
 def eom(params: SystemParams, state: PhaseState) -> tuple[float, float, float, float]:
-    """Right-hand side (x', y', px', py') of the canonical equations."""
-    s = potential(params, state.x, state.y)
-    return (
-        state.y + state.px,
-        -state.x + state.py,
-        s.Vx + state.py,
-        s.Vy - state.px,
-    )
+    """Right-hand side (x', y', px', py') of the canonical equations; raises at a primary."""
+    _require_off_primaries(params.mu, state.x, state.y)
+    rhs = _canonical_field(*_charges(params))
+    return tuple(rhs(0.0, (state.x, state.y, state.px, state.py)))
 
 
 def equilibrium_state(params: SystemParams, x: float, y: float) -> PhaseState:
@@ -175,22 +201,14 @@ def integrate(
     a primary closer than collision_radius ends the run early with
     reason "collision-approach".
     """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end!r}")
+    if not (0.0 < t_end < math.inf):
+        raise ValidationError(f"t_end must be positive and finite, got {t_end!r}")
     if not (1e-14 <= tol <= 1e-3):
-        raise ValueError(f"tol must lie in [1e-14, 1e-3], got {tol!r}")
+        raise ValidationError(f"tol must lie in [1e-14, 1e-3], got {tol!r}")
+    if not np.all(np.isfinite(s0.as_array())):
+        raise ValidationError(f"the initial state must be finite, got {s0!r}")
 
-    mu, b1, b2 = params.mu, params.beta1, params.beta2
-    k1, k2 = b1 * (1.0 - mu), b2 * mu
-
-    def rhs(t: float, v: np.ndarray) -> list[float]:
-        x, y, px, py = v
-        dx1, dx2 = x + mu, x - 1.0 + mu
-        r13 = (dx1 * dx1 + y * y) ** 1.5
-        r23 = (dx2 * dx2 + y * y) ** 1.5
-        vx = -k1 * dx1 / r13 - k2 * dx2 / r23
-        vy = -k1 * y / r13 - k2 * y / r23
-        return [y + px, -x + py, vx + py, vy - px]
+    mu, k1, k2 = _charges(params)
 
     def close_approach(t: float, v: np.ndarray) -> float:
         x, y = v[0], v[1]
@@ -200,7 +218,7 @@ def integrate(
     close_approach.terminal = True  # type: ignore[attr-defined]
 
     sol = solve_ivp(
-        rhs,
+        _canonical_field(mu, k1, k2),
         (0.0, float(t_end)),
         s0.as_array(),
         method="DOP853",
@@ -225,5 +243,5 @@ def integrate(
     else:
         reason = "completed"
 
-    energy = np.array([hamiltonian(params, PhaseState.from_array(v)) for v in states])
+    energy = _energy(np.hypot, mu, k1, k2, *states.reshape(-1, 4).T)
     return Trajectory(t=t, states=states, energy=energy, reason=reason)

@@ -13,8 +13,8 @@ class Rc3bpError(Exception):
     exit_code = 3
 
 
-class ValidationError(Rc3bpError):
-    """The inputs violate a documented precondition."""
+class ValidationError(Rc3bpError, ValueError):
+    """The inputs violate a documented precondition (also a ValueError, for old callers)."""
 
     exit_code = 2
 

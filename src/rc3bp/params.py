@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveMass, ZeroThirdCharge
+from .errors import NonpositiveMass, ValidationError, ZeroThirdCharge
 
 
 def is_admissible(beta1: float, beta2: float) -> bool:
@@ -39,7 +39,7 @@ class ForceRegime(enum.Enum):
 def force_regime(beta: float) -> ForceRegime:
     """Classify a beta value. Comparisons are exact; round first if needed."""
     if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta!r}")
+        raise ValidationError(f"beta must be finite, got {beta!r}")
     if beta < 0.0:
         return ForceRegime.COULOMB_DOMINATES_REPULSIVE
     if beta == 0.0:
@@ -68,9 +68,9 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.mu < 1.0):
-            raise ValueError(f"mu must lie in (0, 1), got {self.mu!r}")
+            raise ValidationError(f"mu must lie in (0, 1), got {self.mu!r}")
         if not (math.isfinite(self.beta1) and math.isfinite(self.beta2)):
-            raise ValueError("beta parameters must be finite")
+            raise ValidationError("beta parameters must be finite")
 
     @property
     def admissible(self) -> bool:
@@ -124,7 +124,7 @@ class PhysicalSystem:
         if self.m3 < 0.0:
             raise NonpositiveMass(f"test-particle mass must be nonnegative, got m3={self.m3!r}")
         if self.G <= 0.0 or self.k <= 0.0:
-            raise ValueError("G and k must be positive")
+            raise ValidationError("G and k must be positive")
 
     @property
     def c12(self) -> float:

@@ -23,8 +23,8 @@ import numpy as np
 from . import collinear
 from ._brent import brentq
 from .collinear import Interval
-from .errors import DegenerateGamma
-from .stability import _BOUNDARY_ATOL, StabilityClass, critical_mu, gamma_mu
+from .errors import DegenerateGamma, ValidationError
+from .stability import _BOUNDARY_ATOL, StabilityClass, _discriminant, critical_mu, gamma_mu
 
 _DEFAULT_RESOLUTION = 512
 _POLYLINE_POINTS = 1024
@@ -68,9 +68,9 @@ class RegionRaster:
     def __post_init__(self) -> None:
         nx, ny = self.resolution
         if nx < 2 or ny < 2:
-            raise ValueError(f"resolution must be >= 2 per axis, got {self.resolution!r}")
+            raise ValidationError(f"resolution must be >= 2 per axis, got {self.resolution!r}")
         if self.labels.shape != (ny, nx):
-            raise ValueError(f"labels shape {self.labels.shape!r} != {(ny, nx)!r}")
+            raise ValidationError(f"labels shape {self.labels.shape!r} != {(ny, nx)!r}")
 
     def x_centers(self) -> np.ndarray:
         return _centers(self.x_range, self.resolution[0])
@@ -84,12 +84,28 @@ def _centers(rng: tuple[float, float], n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 
+def _raster(x_range, y_range, labels: np.ndarray, legend, predicate: str) -> RegionRaster:
+    ny, nx = labels.shape
+    return RegionRaster(tuple(x_range), tuple(y_range), (nx, ny), labels, legend, predicate)
+
+
+def _grid(x_range, y_range, resolution):
+    """Cell centers as a row and a column that broadcast to (ny, nx)."""
+    nx, ny = _resolution(resolution)
+    return _centers(x_range, nx)[None, :], _centers(y_range, ny)[:, None]
+
+
+def _distances(mu: float, x, y):
+    """(rho1, rho2) from configuration-space (x, y) to the primaries."""
+    return np.hypot(x + mu, y), np.hypot(x + mu - 1.0, y)
+
+
 def _resolution(resolution) -> tuple[int, int]:
     if resolution is None:
         return (_DEFAULT_RESOLUTION, _DEFAULT_RESOLUTION)
-    if isinstance(resolution, int):
-        return (resolution, resolution)
-    nx, ny = resolution
+    nx, ny = (resolution, resolution) if isinstance(resolution, int) else resolution
+    if int(nx) < 2 or int(ny) < 2:
+        raise ValidationError(f"resolution must be >= 2 per axis, got {resolution!r}")
     return (int(nx), int(ny))
 
 
@@ -112,13 +128,9 @@ def admissible_region_raster(
     x_range=(-5.0, 5.0), y_range=(-5.0, 5.0), resolution=None
 ) -> RegionRaster:
     """(beta1, beta2) cells labeled by the strict constraint (b1-1)(b2-1) < 1."""
-    nx, ny = _resolution(resolution)
-    b1 = _centers(x_range, nx)[None, :]
-    b2 = _centers(y_range, ny)[:, None]
+    b1, b2 = _grid(x_range, y_range, resolution)
     labels = ((b1 - 1.0) * (b2 - 1.0) < 1.0).astype(np.int8)
-    return RegionRaster(
-        tuple(x_range), tuple(y_range), (nx, ny), labels, ADMISSIBLE_LEGEND, "is_admissible"
-    )
+    return _raster(x_range, y_range, labels, ADMISSIBLE_LEGEND, "is_admissible")
 
 
 def _admissibility_branch(x_range, y_range, n: int, upper: bool) -> np.ndarray:
@@ -156,35 +168,27 @@ def triangular_region_raster(
     failed strict triangle inequality, `Inadmissible` a sound triangle
     whose betas violate admissibility.
     """
-    nx, ny = _resolution(resolution)
     if space == "parameter":
         x_range = x_range or (0.0, 3.0)
         y_range = y_range or (0.0, 3.0)
-        d1 = _centers(x_range, nx)[None, :]
-        d2 = _centers(y_range, ny)[:, None]
-        d1, d2 = np.broadcast_arrays(d1, d2)
+        d1, d2 = _grid(x_range, y_range, resolution)
         predicate = "triangular_exists(delta)"
     elif space == "configuration":
         mu = 0.3 if mu is None else mu
         x_range = x_range or (-2.5, 2.5)
         y_range = y_range or (-2.5, 2.5)
-        x = _centers(x_range, nx)[None, :]
-        y = _centers(y_range, ny)[:, None]
-        d1 = np.hypot(x + mu, y)
-        d2 = np.hypot(x + mu - 1.0, y)
+        d1, d2 = _distances(mu, *_grid(x_range, y_range, resolution))
         predicate = f"triangular_exists(rho; mu={mu!r})"
     else:
-        raise ValueError(f"space must be 'parameter' or 'configuration', got {space!r}")
+        raise ValidationError(f"space must be 'parameter' or 'configuration', got {space!r}")
 
     positive = (d1 > 0.0) & (d2 > 0.0)
     strict = (d1 + d2 > 1.0) & (np.abs(d1 - d2) < 1.0) & positive
     admissible = (d1**3 - 1.0) * (d2**3 - 1.0) < 1.0
-    labels = np.zeros((ny, nx), np.int8)                    # NoTriangle
+    labels = np.zeros(strict.shape, np.int8)                # NoTriangle
     labels[strict & ~admissible] = 1                        # Inadmissible
     labels[strict & admissible] = 2                         # Exists
-    return RegionRaster(
-        tuple(x_range), tuple(y_range), (nx, ny), labels, TRIANGULAR_LEGEND, predicate
-    )
+    return _raster(x_range, y_range, labels, TRIANGULAR_LEGEND, predicate)
 
 
 def _config_lens_bounds() -> tuple[float, float]:
@@ -233,7 +237,7 @@ def triangular_boundary_polylines(
             "admissibility_upper": _clip_window(upper, x_range, y_range),
             "admissibility_lower": _clip_window(lower, x_range, y_range),
         }
-    raise ValueError(f"space must be 'parameter' or 'configuration', got {space!r}")
+    raise ValidationError(f"space must be 'parameter' or 'configuration', got {space!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,67 +254,60 @@ def collinear_region_raster(
     once per grid line since each edge depends on a single beta.
     """
     if not (0.0 < mu <= 0.5):
-        raise ValueError(f"mu must lie in (0, 1/2], got {mu!r}")
-    nx, ny = _resolution(resolution)
-    bx = _centers(x_range, nx)
-    by = _centers(y_range, ny)
-    b1 = bx[None, :]
-    b2 = by[:, None]
+        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+    b1, b2 = _grid(x_range, y_range, resolution)
     adm = (b1 - 1.0) * (b2 - 1.0) < 1.0
-    labels = np.zeros((ny, nx), np.int8)
-    labels[adm] = 1                                        # ZeroRoots until shown otherwise
-    rtol = collinear._BAND_EDGE_RTOL
-
-    def band(mask, free, edge, above):
-        """TwoRoots strictly inside the band, DoubleRoot on its edge."""
-        d = free - edge
-        double = mask & (np.abs(d) <= rtol * np.maximum(1.0, np.abs(edge)))
-        two = mask & ((d > 0.0) if above else (d < 0.0)) & ~double
-        labels[two] = 3
-        labels[double] = 4
-
+    labels = adm.astype(np.int8)                           # ZeroRoots until shown otherwise
+    # body 2's bands are body 1's with the beta axes swapped
     if interval is Interval.I1:
-        labels[adm & (b1 > 0.0)] = 2                       # R'1, R'4, S6: exactly one
-        labels[adm & (b1 == 0.0) & (b2 > 1.0)] = 2         # S5 conditional
-        s2 = adm & (b1 < 0.0)
-        edges = np.full(nx, np.nan)
-        for j in np.nonzero(bx < 0.0)[0]:
-            edges[j] = collinear.band_edge_i1(mu, float(bx[j]))
-        band(s2, b2, edges[None, :], above=True)
+        _label_outer(labels, adm, b1, b2, lambda b: collinear.band_edge_i1(mu, b))
     elif interval is Interval.I3:
-        labels[adm & (b2 > 0.0)] = 2                       # R'1, S2, S5: exactly one
-        labels[adm & (b2 == 0.0) & (b1 > 1.0)] = 2         # S6 conditional
-        r4 = adm & (b2 < 0.0) & (b1 > 0.0)
-        edges = np.full(ny, np.nan)
-        for j in np.nonzero(by < 0.0)[0]:
-            edges[j] = collinear.band_edge_i3(mu, float(by[j]))
-        band(r4, b1, edges[:, None], above=True)
+        _label_outer(labels, adm, b2, b1, lambda b: collinear.band_edge_i3(mu, b))
     elif interval is Interval.I2:
-        labels[adm & (b1 > 0.0) & (b2 > 0.0)] = 2          # R'1: exactly one
-        labels[adm & (b1 == 0.0) & (b2 < 1.0)] = 2         # S5 conditional
-        labels[adm & (b2 == 0.0) & (b1 > 0.0) & (b1 < 1.0)] = 2  # S6 conditional
-        s2 = adm & (b1 < 0.0)
-        edges = np.full(nx, np.nan)
-        for j in np.nonzero(bx < 0.0)[0]:
-            e = collinear.band_edge_i2_s2(mu, float(bx[j]))
-            edges[j] = np.nan if e is None else e
-        band(s2 & np.isfinite(edges)[None, :], b2, edges[None, :], above=False)
-        r4 = adm & (b1 > 0.0) & (b2 < 0.0)
-        redges = np.full(ny, np.nan)
-        for j in np.nonzero(by < 0.0)[0]:
-            e = collinear.band_edge_i2_r4(mu, float(by[j]))
-            redges[j] = np.nan if e is None else e
-        band(r4 & np.isfinite(redges)[:, None], b1, redges[:, None], above=False)
+        _label_middle(labels, adm, b1, b2, lambda b: collinear.band_edge_i2_s2(mu, b))
+        _label_middle(labels, adm, b2, b1, lambda b: collinear.band_edge_i2_r4(mu, b))
     else:
-        raise ValueError(f"unknown interval {interval!r}")
-    return RegionRaster(
-        tuple(x_range),
-        tuple(y_range),
-        (nx, ny),
-        labels,
-        COLLINEAR_LEGEND,
-        f"resolved_root_count[{interval.value}; mu={mu!r}]",
-    )
+        raise ValidationError(f"unknown interval {interval!r}")
+    predicate = f"resolved_root_count[{interval.value}; mu={mu!r}]"
+    return _raster(x_range, y_range, labels, COLLINEAR_LEGEND, predicate)
+
+
+# The band labellers take this body's beta (`near`) and the other beta
+# (`free`) as the grid's row and column, in either order, and label the
+# (ny, nx) `labels` where the admissibility mask `adm` holds.
+
+
+def _label_outer(labels, adm, near: np.ndarray, free: np.ndarray, edge_of):
+    """The interval beyond the near body: one root where its beta is positive
+    (or 0 with the free beta above 1), two above the band edge."""
+    labels[adm & ((near > 0.0) | ((near == 0.0) & (free > 1.0)))] = 2    # OneRoot
+    edges = _band_edges(near, edge_of)
+    _label_band(labels, adm & (near < 0.0) & np.isfinite(edges), free - edges, edges)
+
+
+def _label_middle(labels, adm, near: np.ndarray, free: np.ndarray, edge_of):
+    """The near body's part of I2: one root where both betas are positive
+    (or its beta is 0 with the free beta below 1), two below the band edge."""
+    labels[adm & (((near > 0.0) & (free > 0.0)) | ((near == 0.0) & (free < 1.0)))] = 2
+    edges = _band_edges(near, edge_of)
+    _label_band(labels, adm & (near < 0.0) & np.isfinite(edges), edges - free, edges)
+
+
+def _band_edges(near: np.ndarray, edge_of) -> np.ndarray:
+    """edge_of at each negative near beta; NaN where there is no band."""
+    edges = np.full(near.shape, np.nan)
+    for j in np.flatnonzero(near < 0.0):
+        e = edge_of(float(near.flat[j]))
+        edges.flat[j] = np.nan if e is None else e
+    return edges
+
+
+def _label_band(labels, band, depth, edges):
+    """TwoRoots where depth (the free beta's signed distance into the band)
+    is positive, DoubleRoot on the edge."""
+    double = band & (np.abs(depth) <= collinear._BAND_EDGE_RTOL * np.maximum(1.0, np.abs(edges)))
+    labels[band & (depth > 0.0)] = 3                         # TwoRoots
+    labels[double] = 4                                       # DoubleRoot, over TwoRoots
 
 
 def collinear_boundary_polylines(
@@ -321,43 +318,24 @@ def collinear_boundary_polylines(
     n: int = _POLYLINE_POINTS,
 ) -> dict[str, np.ndarray]:
     """Tangency curves (band edges, parameterized by x*) and the admissibility branch."""
-    out = {"admissibility": _admissibility_branch(x_range, y_range, n, upper=False)}
-    if interval is Interval.I1:
-        s = np.geomspace(1e-6, 10.0, n)
-        pts = np.column_stack(
-            [
-                -(s**3) * (3.0 * s + 2.0 * mu + 1.0) / (2.0 * (1.0 - mu)),
-                (3.0 * s + 2.0 * mu) * (1.0 + s) ** 3 / (2.0 * mu),
-            ]
-        )
-        out["tangency"] = _clip_window(pts, x_range, y_range)
-    elif interval is Interval.I3:
-        u = np.geomspace(1e-6, 10.0, n)
-        pts = np.column_stack(
-            [
-                (3.0 * u + 2.0 - 2.0 * mu) * (1.0 + u) ** 3 / (2.0 * (1.0 - mu)),
-                -(3.0 * u + 3.0 - 2.0 * mu) * u**3 / (2.0 * mu),
-            ]
-        )
-        out["tangency"] = _clip_window(pts, x_range, y_range)
+    # at distances s outward from the near body; beyond it its beta is -beta*
+    near, far = collinear._near_star, collinear._far_star
+    if interval is Interval.I2:
+        # toward the other body, up to the critical root
+        s1 = -np.linspace(0.0, collinear._critical_gap(1.0 - mu, mu), n)[1:]
+        s2 = -np.linspace(0.0, collinear._critical_gap(mu, 1.0 - mu), n)[1:][::-1]
+        curves = {
+            "tangency_body1": np.column_stack([near(s1, 1.0 - mu, mu), far(s1, mu)]),
+            "tangency_body2": np.column_stack([far(s2, 1.0 - mu), near(s2, mu, 1.0 - mu)]),
+        }
     else:
-        xr1, xr2 = collinear.critical_roots(mu)
-        t = np.linspace(0.0, xr1 + mu, n)[1:]
-        pts1 = np.column_stack(
-            [
-                (3.0 * t - 2.0 * mu - 1.0) * t**3 / (2.0 * (1.0 - mu)),
-                (3.0 * t - 2.0 * mu) * (t - 1.0) ** 3 / (2.0 * mu),
-            ]
-        )
-        v = np.linspace(0.0, 1.0 - mu - xr2, n)[1:][::-1]
-        pts2 = np.column_stack(
-            [
-                (2.0 - 2.0 * mu - 3.0 * v) * (1.0 - v) ** 3 / (2.0 * (1.0 - mu)),
-                -(3.0 - 2.0 * mu - 3.0 * v) * v**3 / (2.0 * mu),
-            ]
-        )
-        out["tangency_body1"] = _clip_window(pts1, x_range, y_range)
-        out["tangency_body2"] = _clip_window(pts2, x_range, y_range)
+        s = np.geomspace(1e-6, 10.0, n)
+        if interval is Interval.I1:
+            curves = {"tangency": np.column_stack([-near(s, 1.0 - mu, mu), far(s, mu)])}
+        else:
+            curves = {"tangency": np.column_stack([far(s, 1.0 - mu), -near(s, mu, 1.0 - mu)])}
+    out = {k: _clip_window(v, x_range, y_range) for k, v in curves.items()}
+    out["admissibility"] = _admissibility_branch(x_range, y_range, n, upper=False)
     return out
 
 
@@ -374,23 +352,30 @@ def _classify_f_grid(domain: np.ndarray, f: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _triangle_stability(mu: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Stability-class labels of the triangles (r1, r2, 1), via cos gamma and F.
+
+    Out-of-domain cells violate the closed triangle inequalities or the
+    induced admissibility (r1^3-1)(r2^3-1) < 1.
+    """
+    positive = (r1 > 0.0) & (r2 > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(positive, (1.0 - r1**2 - r2**2) / (2.0 * r1 * r2), np.nan)
+    domain = positive & (np.abs(c) <= 1.0) & ((r1**3 - 1.0) * (r2**3 - 1.0) < 1.0)
+    f = np.zeros(domain.shape)
+    f[domain] = _discriminant(mu, 1.0 - c[domain] ** 2)      # sin^2 = 1 - cos^2
+    return _classify_f_grid(domain, f)
+
+
 def stability_map_raster(
     x_range=(0.0, 0.5), y_range=(0.0, math.pi), resolution=None
 ) -> RegionRaster:
     """(mu, gamma) cells labeled by the sign pattern of F (figure 15)."""
-    nx, ny = _resolution(resolution)
-    mu = _centers(x_range, nx)[None, :]
-    gam = _centers(y_range, ny)[:, None]
-    f = 1.0 - 36.0 * mu * (1.0 - mu) * np.sin(gam) ** 2
+    mu, gam = _grid(x_range, y_range, resolution)
+    f = _discriminant(mu, np.sin(gam) ** 2)
     domain = np.broadcast_to((mu > 0.0) & (mu <= 0.5), f.shape)
-    return RegionRaster(
-        tuple(x_range),
-        tuple(y_range),
-        (nx, ny),
-        _classify_f_grid(domain, f),
-        STABILITY_LEGEND,
-        "sign(F(mu, gamma))",
-    )
+    labels = _classify_f_grid(domain, f)
+    return _raster(x_range, y_range, labels, STABILITY_LEGEND, "sign(F(mu, gamma))")
 
 
 def stability_map_polylines(
@@ -410,52 +395,19 @@ def stability_map_polylines(
 def configuration_stability_raster(
     mu: float, x_range=(-2.5, 2.5), y_range=(-2.5, 2.5), resolution=None
 ) -> RegionRaster:
-    """Restricted configuration space labeled by the stability class (figures 16-18).
-
-    Out-of-domain cells are those violating the closed triangle
-    inequalities on (rho1, rho2, 1) or the induced admissibility
-    (rho1^3-1)(rho2^3-1) < 1.
-    """
-    nx, ny = _resolution(resolution)
-    x = _centers(x_range, nx)[None, :]
-    y = _centers(y_range, ny)[:, None]
-    r1 = np.hypot(x + mu, y)
-    r2 = np.hypot(x + mu - 1.0, y)
-    positive = (r1 > 0.0) & (r2 > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(positive, (1.0 - r1**2 - r2**2) / (2.0 * r1 * r2), np.nan)
-    domain = positive & (np.abs(c) <= 1.0) & ((r1**3 - 1.0) * (r2**3 - 1.0) < 1.0)
-    f = 1.0 - 36.0 * mu * (1.0 - mu) * (1.0 - c**2)       # sin^2 = 1 - cos^2
-    return RegionRaster(
-        tuple(x_range),
-        tuple(y_range),
-        (nx, ny),
-        _classify_f_grid(domain, f),
-        STABILITY_LEGEND,
-        f"classify_triangular(rho; mu={mu!r})",
-    )
+    """Restricted configuration space labeled by the stability class (figures 16-18)."""
+    labels = _triangle_stability(mu, *_distances(mu, *_grid(x_range, y_range, resolution)))
+    predicate = f"classify_triangular(rho; mu={mu!r})"
+    return _raster(x_range, y_range, labels, STABILITY_LEGEND, predicate)
 
 
 def parameter_stability_raster(
     mu: float, x_range=(0.0, 2.0), y_range=(0.0, 2.0), resolution=None
 ) -> RegionRaster:
     """(delta1, delta2) cells labeled by the stability class (figures 19-21)."""
-    nx, ny = _resolution(resolution)
-    d1 = _centers(x_range, nx)[None, :]
-    d2 = _centers(y_range, ny)[:, None]
-    positive = (d1 > 0.0) & (d2 > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(positive, (1.0 - d1**2 - d2**2) / (2.0 * d1 * d2), np.nan)
-    domain = positive & (np.abs(c) <= 1.0) & ((d1**3 - 1.0) * (d2**3 - 1.0) < 1.0)
-    f = 1.0 - 36.0 * mu * (1.0 - mu) * (1.0 - c**2)
-    return RegionRaster(
-        tuple(x_range),
-        tuple(y_range),
-        (nx, ny),
-        _classify_f_grid(domain, f),
-        STABILITY_LEGEND,
-        f"classify_triangular(delta; mu={mu!r})",
-    )
+    labels = _triangle_stability(mu, *_grid(x_range, y_range, resolution))
+    predicate = f"classify_triangular(delta; mu={mu!r})"
+    return _raster(x_range, y_range, labels, STABILITY_LEGEND, predicate)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +533,7 @@ class StableRegionReport:
 def stable_region_report(mu: float) -> StableRegionReport:
     """Stable gamma set and its boundary arcs/ellipses for a mass ratio."""
     if not (0.0 < mu <= 0.5):
-        raise ValueError(f"mu must lie in (0, 1/2], got {mu!r}")
+        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
     mu_c = critical_mu()
     if mu < mu_c:
         regime = StableRegime.FULL_BAND
@@ -624,43 +576,42 @@ def figure_dataset(figure: int, mu: float | None = None, resolution=None) -> Fig
     documented defaults when `mu` is omitted.
     """
     if figure not in FIGURES:
-        raise ValueError(f"unknown figure {figure!r}; choose from {FIGURES}")
+        raise ValidationError(f"unknown figure {figure!r}; choose from {FIGURES}")
     if figure in (5, 6, 15):
         if mu is not None:
-            raise ValueError(f"figure {figure} takes no mu")
+            raise ValidationError(f"figure {figure} takes no mu")
     else:
         mu = FIGURE_DEFAULT_MU[figure] if mu is None else mu
-    nx, ny = _resolution(resolution)
     curves: dict = {}
 
     if figure == 5:
-        raster = admissible_region_raster(resolution=(nx, ny))
+        raster = admissible_region_raster(resolution=resolution)
         curves["polylines"] = admissible_boundary_polylines()
     elif figure == 6:
-        raster = triangular_region_raster("parameter", resolution=(nx, ny))
+        raster = triangular_region_raster("parameter", resolution=resolution)
         curves["polylines"] = triangular_boundary_polylines("parameter")
     elif figure == 7:
-        raster = triangular_region_raster("configuration", mu=mu, resolution=(nx, ny))
+        raster = triangular_region_raster("configuration", mu=mu, resolution=resolution)
         curves["polylines"] = triangular_boundary_polylines("configuration", mu=mu)
     elif figure in (11, 12, 13):
         interval = {11: Interval.I1, 12: Interval.I2, 13: Interval.I3}[figure]
-        raster = collinear_region_raster(interval, mu, resolution=(nx, ny))
+        raster = collinear_region_raster(interval, mu, resolution=resolution)
         curves["polylines"] = collinear_boundary_polylines(interval, mu)
         xr1, xr2 = collinear.critical_roots(mu)
         curves["critical_roots"] = {"x_r1": xr1, "x_r2": xr2}
     elif figure == 15:
-        raster = stability_map_raster(resolution=(nx, ny))
+        raster = stability_map_raster(resolution=resolution)
         curves["polylines"] = stability_map_polylines()
         curves["critical_mu"] = critical_mu()
     elif figure in (16, 17, 18):
-        raster = configuration_stability_raster(mu, resolution=(nx, ny))
+        raster = configuration_stability_raster(mu, resolution=resolution)
         report = stable_region_report(mu)
         curves["stable_region"] = report.to_dict()
         curves["polylines"] = {
             f"arc_{a.branch}_{i}": a.points() for i, a in enumerate(report.arcs)
         }
     else:
-        raster = parameter_stability_raster(mu, resolution=(nx, ny))
+        raster = parameter_stability_raster(mu, resolution=resolution)
         report = stable_region_report(mu)
         curves["stable_region"] = report.to_dict()
         curves["polylines"] = {f"ellipse_{i}": e.points() for i, e in enumerate(report.ellipses)}

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import potential
-from .errors import BelowCriticalMass, NotOnTriangularLocus
+from .errors import BelowCriticalMass, NotOnTriangularLocus, ValidationError
 from .params import SystemParams
 from .triangular import triangular_exists
 
@@ -139,13 +139,18 @@ def gamma_of(params: SystemParams) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
+def _discriminant(mu, sin2):
+    """F = 1 - 36 mu (1-mu) sin2 for sin2 = sin(gamma)**2; scalars or numpy arrays."""
+    return 1.0 - 36.0 * mu * (1.0 - mu) * sin2
+
+
 def f_stability(mu: float, gamma: float) -> float:
     """F(mu, gamma) = 1 - 36 mu (1-mu) sin(gamma)**2."""
     if not (0.0 < mu <= 0.5):
-        raise ValueError(f"mu must lie in (0, 1/2], got {mu!r}")
+        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
     if not (0.0 <= gamma <= math.pi):
-        raise ValueError(f"gamma must lie in [0, pi], got {gamma!r}")
-    return 1.0 - 36.0 * mu * (1.0 - mu) * math.sin(gamma) ** 2
+        raise ValidationError(f"gamma must lie in [0, pi], got {gamma!r}")
+    return _discriminant(mu, math.sin(gamma) ** 2)
 
 
 def critical_mu() -> float:
@@ -159,7 +164,7 @@ def gamma_mu(mu: float) -> float:
     F(mu, .) vanishes exactly at gamma_mu and pi - gamma_mu.
     """
     if not (0.0 < mu <= 0.5):
-        raise ValueError(f"mu must lie in (0, 1/2], got {mu!r}")
+        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
     if mu <= critical_mu():
         raise BelowCriticalMass(
             f"mu = {mu!r} is below the critical ratio {critical_mu()!r}; F never vanishes"

@@ -16,7 +16,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveRadius, NotRepulsive, ZeroAngularMomentum
+from .errors import NonpositiveMass, NonpositiveRadius, NotRepulsive, ZeroAngularMomentum
+from .errors import ValidationError
 
 # Relative tolerance for treating the radial-momentum radicand as zero at
 # the turning point; pure roundoff in k* - V_eff(rho*) must not flip the
@@ -43,9 +44,9 @@ class TwoBodyConfig:
 
     def __post_init__(self) -> None:
         if self.m1 <= 0.0 or self.m2 <= 0.0:
-            raise ValueError(f"masses must be positive, got m1={self.m1!r}, m2={self.m2!r}")
+            raise NonpositiveMass(f"masses must be positive, got m1={self.m1!r}, m2={self.m2!r}")
         if self.G <= 0.0 or self.k <= 0.0:
-            raise ValueError("G and k must be positive")
+            raise ValidationError("G and k must be positive")
 
     @property
     def C(self) -> float:
@@ -119,7 +120,7 @@ def hyperbolic_orbit(cfg: TwoBodyConfig, k_star: float, l: float) -> HyperbolicO
     if l == 0.0:
         raise ZeroAngularMomentum("l = 0: radial scattering has no conic form")
     if k_star <= 0.0:
-        raise ValueError(f"k_star must be positive, got {k_star!r}")
+        raise ValidationError(f"k_star must be positive, got {k_star!r}")
 
     mu_red = cfg.mu_red
     c = mu_red * abs(C) / (l * l)

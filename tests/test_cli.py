@@ -4,11 +4,15 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from rc3bp import cli, regions
+from rc3bp import cli, collinear, regions
 from rc3bp.cli import main
+from rc3bp.errors import ValidationError
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def run(capsys, *argv):
@@ -154,6 +158,87 @@ def test_critical_roots_tiny_mu_returns_series(capsys):
 def test_critical_roots_validates_mu(capsys):
     code, _, _ = run(capsys, "critical-roots", "--mu", "0.9")
     assert code == 2
+
+
+def test_critical_roots_where_the_bracket_sign_is_noise(capsys):
+    # g_tilde(-mu/3) is below the polynomial's rounding error here
+    code, out, _ = run(capsys, "critical-roots", "--mu", "6.608335874168511e-06")
+    assert code == 0
+    mu = 6.608335874168511e-06
+    assert -mu < json.loads(out)["x_r1"] <= -mu / 3.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--mu", "1.2", "--beta1", "1", "--beta2", "1"],
+        ["validate", "--mu", "0.2", "--beta1", "inf", "--beta2", "1"],
+        ["stability", "--mu", "0", "--beta1", "1", "--beta2", "1"],
+        ["two-body", "--m1", "0", "--m2", "1", "--q1", "1", "--q2", "1"],
+        ["two-body", "--m1", "1", "--m2", "1", "--q1", "1", "--q2", "1", "--G", "0"],
+        ["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
+         "--kstar", "-1", "--l", "1"],
+        ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+         "--state", "0.3,0.8,-0.8,0.3", "--t-end", "0"],
+        ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+         "--state", "0.3,0.8,-0.8,0.3", "--t-end", "1", "--tol", "0.1"],
+        ["critical-roots", "--mu", "0.7"],
+        ["regions", "--figure", "5", "--mu", "0.3", "--out", "unused"],
+        ["regions", "--figure", "5", "--resolution", "1", "--out", "unused"],
+        ["regions", "--figure", "11", "--resolution", "-3", "--out", "unused"],
+        ["regions", "--figure", "11", "--mu", "0.7", "--out", "unused"],
+        ["regions", "--figure", "16", "--mu", "0.7", "--out", "unused"],
+        # inputs that would otherwise fail inside numpy, scipy or the sample-time loop
+        ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+         "--state", "nan,0,0,0", "--t-end", "1"],
+        ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+         "--state", "0.3,0.8,-0.8,0.3", "--t-end", "1", "--every", "nan"],
+        ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+         "--state", "0.3,0.8,-0.8,0.3", "--t-end", "1", "--every", "inf"],
+        ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+         "--state", "0.3,0.8,-0.8,0.3", "--t-end=-1", "--every", "0.1"],
+    ],
+)
+def test_invalid_input_exits_two(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_foreign_value_error_is_not_a_usage_error(monkeypatch):
+    # only the package's own ValidationError means exit 2
+    def broken(mu):
+        raise ValueError("not from rc3bp")
+
+    monkeypatch.setattr(collinear, "critical_roots", broken)
+    with pytest.raises(ValueError, match="not from rc3bp") as exc:
+        main(["critical-roots", "--mu", "0.1"])
+    assert not isinstance(exc.value, ValidationError)
+
+
+def test_cli_reference_stdout_is_unchanged(tmp_path, monkeypatch, capsys):
+    # the benchmark's recorded stdout of every cli_oneshot argument set
+    reference = json.loads((REFERENCE_DIR / "cli_reference.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ".bench_work" / "cli").mkdir(parents=True)
+    changed = []
+    for key, expected in reference.items():
+        code = main(key.split(" "))
+        if code != 0 or capsys.readouterr().out != expected:
+            changed.append(key)
+    assert len(reference) == 32 and changed == []
+
+
+def test_figure_csvs_match_the_recorded_digests():
+    # the 13 figure CSVs at the default resolution 512, byte for byte
+    expected = json.loads((REFERENCE_DIR / "figures_csv_sha256.json").read_text())
+    got = {}
+    for figure in regions.FIGURES:
+        raster = regions.figure_dataset(figure, resolution=512).raster
+        text = "".join(cli._raster_csv_lines(raster))
+        got[f"figure-{figure:02d}.csv"] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == expected
 
 
 def test_regions_writes_csv_and_json(tmp_path, capsys):

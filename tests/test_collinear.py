@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from rc3bp import collinear
 from rc3bp.collinear import (
     BetaRegion,
     Interval,
@@ -290,6 +291,67 @@ def test_critical_roots_fall_back_to_series_where_one_minus_mu_rounds(mu):
     # terms are below one ulp there
     assert 1.0 - mu == 1.0
     assert critical_roots(mu) == critical_roots_series(mu)
+
+
+def test_critical_roots_answer_across_the_mass_ratios():
+    # g_tilde(-mu/3) = 16 mu**4/27 sinks under rounding noise for small mu,
+    # where a sign-checked bracket would fail; every mu must get an answer
+    for mu in np.logspace(-16.0, math.log10(0.5), 400):
+        mu = float(mu)
+        x1, _ = critical_roots(mu)
+        assert -mu < x1 <= -mu / 3.0, mu
+
+
+def test_band_edge_r4_where_one_minus_mu_rounds_to_one():
+    # the x_r2 cutoff comes from the series for the distance 1 - mu - x_r2
+    # itself; the edge tends to 1 as mu -> 0
+    assert resolved_root_count(SystemParams(1e-80, 0.5, -0.5), Interval.I2) == ResolvedCount(2)
+    assert resolved_root_count(SystemParams(1e-80, 2.0, -1.0), Interval.I2) == ResolvedCount(0)
+    assert band_edge_i2_r4(1e-80, -1.0) == pytest.approx(1.0, abs=1e-12)
+    assert 0.99 < band_edge_i2_r4(1e-17, -1.0) < band_edge_i2_r4(1e-20, -1.0) < 1.0
+
+
+def test_critical_gap_series_matches_the_solved_root():
+    # above the switch the distance comes from the root of g_tilde at
+    # 1 - mu (exact for this dyadic mu); the series for it must agree,
+    # its next term being about mu relative
+    mu = 2.0**-40
+    solved = collinear._critical_gap(mu, 1.0 - mu)
+    assert collinear._critical_gap(mu, 1.0) == pytest.approx(solved, rel=1e-9)
+
+
+@pytest.mark.parametrize("mu", [0.125, 0.25, 0.5, 2.0**-20])
+def test_body2_band_edges_are_body1_edges_of_the_mirror(mu):
+    # for dyadic mu, 1 - (1 - mu) == mu, so the mirrored call is exact
+    assert 1.0 - (1.0 - mu) == mu
+    for beta in (-0.01, -0.5, -3.0, -40.0):
+        assert band_edge_i3(mu, beta) == band_edge_i1(1.0 - mu, beta)
+    extent = 4.0 * (1.0 - mu) ** 3 / (27.0 * mu)      # beta2 span of the R'4/I2 tangency
+    found = 0
+    for beta in [-f * extent for f in (1e-5, 0.02, 0.3, 0.9)] + [-0.01, -0.1, -1.0, -5.0]:
+        r4 = band_edge_i2_r4(mu, beta)
+        s2 = band_edge_i2_s2(1.0 - mu, beta)
+        assert (r4 is None) == (s2 is None)
+        if r4 is not None:
+            found += 1
+            assert abs(r4 - s2) <= 4.0 * math.ulp(s2)
+    assert found
+
+
+@pytest.mark.parametrize("mu", [1e-10, 1e-6])
+def test_i3_band_edge_is_a_tangency_at_tiny_mu(mu):
+    # F vanishes at the single extremum of F on I3, bracketed independently.
+    # F'' is about 3e4 there at mu = 1e-10, so F' moves by more than 1e-12
+    # per ulp of x: require its sign change within one ulp instead
+    for beta2 in (-0.5, -3.0):
+        p = SystemParams(mu, band_edge_i3(mu, beta2), beta2)
+        x_star = brentq(
+            lambda x: f_axis_prime(p, x), 1.0 - mu + 1e-12, 1.0 - mu + 10.0, xtol=1e-16
+        )
+        assert abs(f_axis(p, x_star)) < 1e-12
+        below = f_axis_prime(p, math.nextafter(x_star, 0.0))
+        above = f_axis_prime(p, math.nextafter(x_star, 2.0))
+        assert below <= 0.0 <= above or abs(f_axis_prime(p, x_star)) < 1e-12
 
 
 def test_gtilde_endpoint_values():

@@ -115,6 +115,35 @@ def test_hamiltonian_is_conserved_along_eom_direction():
         assert abs(dh) / scale < 1e-6
 
 
+def test_eom_matches_the_potential_gradient():
+    # eom shares integrate's right-hand side; potential() is the hypot-based
+    # reference, so they agree to rounding
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        mu = rng.uniform(0.01, 0.99)
+        p = SystemParams(mu, rng.uniform(-3, 3), rng.uniform(-3, 3))
+        x, y = _random_safe_point(rng, mu, min_dist=0.05)
+        st = PhaseState(x, y, rng.normal(), rng.normal())
+        s = potential(p, x, y)
+        want = (y + st.px, -x + st.py, s.Vx + st.py, s.Vy - st.px)
+        assert eom(p, st) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    at_primary = (SystemParams(0.3, 1.0, 1.0), PhaseState(-0.3, 0.0, 0.0, 0.0))
+    with pytest.raises(CollisionSingularity):
+        eom(*at_primary)
+    with pytest.raises(CollisionSingularity):
+        hamiltonian(*at_primary)
+
+
+def test_trajectory_energy_matches_the_per_sample_hamiltonian():
+    # one energy kernel, vectorized with np.hypot and per sample with
+    # math.hypot: they differ by at most a few ulp of V (positive here) and H
+    p = SystemParams(0.3, 1.0, 1.0)
+    traj = integrate(p, PhaseState(-0.1, 0.2, -0.2, 0.3), 20.0)
+    ref = np.array([hamiltonian(p, traj.state(i)) for i in range(len(traj.t))])
+    pot = np.array([potential(p, x, y).V for x, y in traj.states[:, :2]])
+    assert np.all(np.abs(traj.energy - ref) <= 4.0 * np.finfo(float).eps * (pot + np.abs(ref)))
+
+
 def test_equilibrium_state_is_fixed_point_of_eom():
     from rc3bp.triangular import triangular_points
 
@@ -152,6 +181,12 @@ def test_integrate_stops_near_collision():
     r1, r2 = primary_distances(0.5, x, y)
     assert min(r1, r2) == pytest.approx(1e-3, abs=1e-5)
     assert traj.t[-1] < 5.0
+
+
+def test_integrate_with_no_sample_times_is_empty():
+    traj = integrate(SystemParams(0.2, 1.0, 1.0), PhaseState(0.3, 0.8, -0.8, 0.3), 1.0,
+                     sample_times=[])
+    assert traj.t.size == 0 and traj.energy.size == 0
 
 
 def test_integrate_validates_inputs():

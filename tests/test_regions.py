@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from rc3bp.collinear import Interval, band_edge_i3, find_in_interval
+from rc3bp.collinear import (
+    Interval,
+    band_edge_i3,
+    f_axis,
+    f_axis_prime,
+    find_in_interval,
+    resolved_root_count,
+)
 from rc3bp.errors import DegenerateGamma
 from rc3bp.params import SystemParams, is_admissible
 from rc3bp.regions import (
@@ -15,6 +23,7 @@ from rc3bp.regions import (
     StableRegime,
     admissible_boundary_polylines,
     admissible_region_raster,
+    collinear_boundary_polylines,
     collinear_region_raster,
     configuration_stability_raster,
     critical_mu,
@@ -134,6 +143,57 @@ def test_collinear_raster_band_cells():
         resolution=(4, 4),
     )
     assert np.all(r.labels == 3)
+
+
+def test_collinear_raster_mirror_is_the_transpose():
+    # at mu = 1/2 the body swap (beta1, beta2) -> (beta2, beta1) maps I1 to
+    # I3 and I2 to itself; on a square grid it transposes the labels
+    i1 = collinear_region_raster(Interval.I1, 0.5, resolution=48).labels
+    i3 = collinear_region_raster(Interval.I3, 0.5, resolution=48).labels
+    assert 3 in i3 and np.array_equal(i3, i1.T)
+    # the middle bands are narrow: beta1 > -4 mu^3/(27 (1-mu)) = -1/27
+    window = (-0.1, 1.0)
+    i2 = collinear_region_raster(Interval.I2, 0.5, window, window, resolution=64).labels
+    assert 3 in i2 and np.array_equal(i2, i2.T)
+
+
+def test_collinear_raster_on_the_axes_matches_the_theorems():
+    # centers at exactly 0 and 1 exercise the axis regions S5/S6 and the
+    # beta = 1 case, which a generic grid never hits
+    window = (-2.25, 2.25)                                  # centers -2, -1.5, ..., 2
+    for mu in (0.2, 0.5):
+        for iv in Interval:
+            r = collinear_region_raster(iv, mu, window, window, resolution=9)
+            xs, ys = r.x_centers(), r.y_centers()
+            assert 0.0 in xs and 1.0 in xs
+            for j, b2 in enumerate(ys):
+                for i, b1 in enumerate(xs):
+                    if not is_admissible(b1, b2):
+                        assert r.labels[j, i] == 0
+                        continue
+                    rc = resolved_root_count(SystemParams(mu, b1, b2), iv)
+                    assert r.labels[j, i] == (4 if rc.double else rc.count + 1), (mu, iv, b1, b2)
+
+
+def test_collinear_polylines_are_double_roots():
+    # each tangency point gives F a double root: F vanishes at the single
+    # extremum of F on the interval, bracketed independently of the curves
+    mu = 0.2
+    for iv, names in ((Interval.I1, ["tangency"]), (Interval.I3, ["tangency"]),
+                      (Interval.I2, ["tangency_body1", "tangency_body2"])):
+        lo, hi = {Interval.I1: (-12.0, -mu), Interval.I2: (-mu, 1.0 - mu),
+                  Interval.I3: (1.0 - mu, 12.0)}[iv]
+        curves = collinear_boundary_polylines(iv, mu)
+        for name in names:
+            pts = np.asarray(curves[name])
+            assert len(pts) > 20
+            for b1, b2 in pts[:: max(1, len(pts) // 15)]:
+                p = SystemParams(mu, float(b1), float(b2))
+                x_star = brentq(
+                    lambda x: f_axis_prime(p, x), lo + 1e-9, hi - 1e-9, xtol=1e-15
+                )
+                scale = max(1.0, abs(b1), abs(b2))
+                assert abs(f_axis(p, x_star)) < 1e-9 * scale, (iv, name, b1, b2)
 
 
 def test_collinear_raster_validates_mu():
