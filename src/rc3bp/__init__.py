@@ -3,186 +3,67 @@
 Parameter reduction, two-body orbit classification, equilibrium location
 and counting, linear stability of the triangular points, and the region
 geometry behind the published phase diagrams.
+
+Each public name is imported from its submodule on first use, so that
+`import rc3bp` loads numpy only when a name that needs it is used.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AtPrimary,
-    BelowCriticalMass,
-    CollisionSingularity,
-    DegenerateGamma,
-    InadmissibleParams,
-    NonpositiveMass,
-    NonpositiveRadius,
-    NoTriangularSolution,
-    NotOnLimitLocus,
-    NotOnTriangularLocus,
-    NotRepulsive,
-    NumericError,
-    Rc3bpError,
-    RootNotBracketed,
-    StepSizeUnderflow,
-    ValidationError,
-    ZeroAngularMomentum,
-    ZeroThirdCharge,
-)
-from .params import PhysicalSystem, SystemParams, is_admissible, reduce
-from .twobody import (
-    HyperbolicOrbit,
-    OrbitClass,
-    TwoBodyConfig,
-    classify,
-    effective_potential,
-    hyperbolic_orbit,
-    radial_momentum,
-)
-from .dynamics import (
-    PhaseState,
-    PotentialSample,
-    Trajectory,
-    eom,
-    equilibrium_state,
-    hamiltonian,
-    integrate,
-    omega,
-    omega_gradient,
-    potential,
-    primary_distances,
-)
-from .triangular import (
-    TriangularLocation,
-    TriangularPair,
-    classify_location,
-    triangular_exists,
-    triangular_points,
-)
-from .collinear import (
-    BetaRegion,
-    CollinearRoot,
-    Interval,
-    PredictedCount,
-    classify_region,
-    critical_roots,
-    critical_roots_series,
-    f_axis,
-    find_collinear,
-    find_in_interval,
-    limit_collinear,
-    predicted_root_count,
-    resolved_root_count,
-)
-from .stability import (
-    StabilityClass,
-    StabilityReport,
-    classify_triangular,
-    critical_mu,
-    f_stability,
-    gamma_mu,
-    gamma_of,
-    linearization,
-    quartic_eigenvalues,
-)
-from .regions import (
-    FigureDataset,
-    RegionRaster,
-    StableArc,
-    StableEllipse,
-    StableRegime,
-    StableRegionReport,
-    admissible_region_raster,
-    collinear_region_raster,
-    configuration_stability_raster,
-    figure_dataset,
-    parameter_stability_raster,
-    stability_map_raster,
-    stable_arcs,
-    stable_region_report,
-    triangular_region_raster,
-)
+_EXPORTS = {
+    "errors": (
+        "AtPrimary", "BelowCriticalMass", "CollisionSingularity",
+        "DegenerateGamma", "InadmissibleParams", "NonpositiveMass",
+        "NonpositiveRadius", "NoTriangularSolution", "NotOnLimitLocus",
+        "NotOnTriangularLocus", "NotRepulsive", "NumericError", "Rc3bpError",
+        "RootNotBracketed", "StepSizeUnderflow", "ValidationError",
+        "ZeroAngularMomentum", "ZeroThirdCharge",
+    ),
+    "params": (
+        "PhysicalSystem", "SystemParams", "is_admissible", "reduce",
+    ),
+    "twobody": (
+        "HyperbolicOrbit", "OrbitClass", "TwoBodyConfig", "classify",
+        "effective_potential", "hyperbolic_orbit", "radial_momentum",
+    ),
+    "dynamics": (
+        "PhaseState", "PotentialSample", "Trajectory", "eom",
+        "equilibrium_state", "hamiltonian", "integrate", "omega",
+        "omega_gradient", "potential", "primary_distances",
+    ),
+    "triangular": (
+        "TriangularLocation", "TriangularPair", "classify_location",
+        "triangular_exists", "triangular_points",
+    ),
+    "collinear": (
+        "BetaRegion", "CollinearRoot", "Interval", "PredictedCount",
+        "classify_region", "critical_roots", "critical_roots_series", "f_axis",
+        "find_collinear", "find_in_interval", "limit_collinear",
+        "predicted_root_count", "resolved_root_count",
+    ),
+    "stability": (
+        "StabilityClass", "StabilityReport", "classify_triangular",
+        "critical_mu", "f_stability", "gamma_mu", "gamma_of", "linearization",
+        "quartic_eigenvalues",
+    ),
+    "regions": (
+        "FigureDataset", "RegionRaster", "StableArc", "StableEllipse",
+        "StableRegime", "StableRegionReport", "admissible_region_raster",
+        "collinear_region_raster", "configuration_stability_raster",
+        "figure_dataset", "parameter_stability_raster", "stability_map_raster",
+        "stable_arcs", "stable_region_report", "triangular_region_raster",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AtPrimary",
-    "BelowCriticalMass",
-    "BetaRegion",
-    "CollinearRoot",
-    "CollisionSingularity",
-    "DegenerateGamma",
-    "FigureDataset",
-    "HyperbolicOrbit",
-    "InadmissibleParams",
-    "Interval",
-    "NonpositiveMass",
-    "NonpositiveRadius",
-    "NoTriangularSolution",
-    "NotOnLimitLocus",
-    "NotOnTriangularLocus",
-    "NotRepulsive",
-    "NumericError",
-    "OrbitClass",
-    "PhaseState",
-    "PhysicalSystem",
-    "PotentialSample",
-    "PredictedCount",
-    "Rc3bpError",
-    "RegionRaster",
-    "RootNotBracketed",
-    "StabilityClass",
-    "StabilityReport",
-    "StableArc",
-    "StableEllipse",
-    "StableRegime",
-    "StableRegionReport",
-    "StepSizeUnderflow",
-    "SystemParams",
-    "Trajectory",
-    "TriangularLocation",
-    "TriangularPair",
-    "TwoBodyConfig",
-    "ValidationError",
-    "ZeroAngularMomentum",
-    "ZeroThirdCharge",
-    "admissible_region_raster",
-    "classify",
-    "classify_location",
-    "classify_region",
-    "classify_triangular",
-    "collinear_region_raster",
-    "configuration_stability_raster",
-    "critical_mu",
-    "critical_roots",
-    "critical_roots_series",
-    "effective_potential",
-    "eom",
-    "equilibrium_state",
-    "f_axis",
-    "f_stability",
-    "figure_dataset",
-    "find_collinear",
-    "find_in_interval",
-    "gamma_mu",
-    "gamma_of",
-    "hamiltonian",
-    "hyperbolic_orbit",
-    "integrate",
-    "is_admissible",
-    "limit_collinear",
-    "linearization",
-    "omega",
-    "omega_gradient",
-    "parameter_stability_raster",
-    "potential",
-    "predicted_root_count",
-    "primary_distances",
-    "quartic_eigenvalues",
-    "radial_momentum",
-    "reduce",
-    "resolved_root_count",
-    "stability_map_raster",
-    "stable_arcs",
-    "stable_region_report",
-    "triangular_exists",
-    "triangular_points",
-    "triangular_region_raster",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -27,28 +27,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING
 
 from ._brent import brentq
 from .errors import AtPrimary, InadmissibleParams, NotOnLimitLocus, RootNotBracketed
 from .errors import ValidationError
-from .params import SystemParams, is_admissible
+from .params import SystemParams, _limit_line, is_admissible
 
-# |F| and |F'| ceilings under which an interior extremum counts as a
-# multiplicity-2 root; chosen to separate tangency from near-tangency at
-# double precision.
-_DOUBLE_F_TOL = 1e-9
-_DOUBLE_FPRIME_TOL = 1e-6
+if TYPE_CHECKING:
+    import numpy as np
 
-# Equality detection against the tangency-curve values beta1*, beta2*.
+# Equality detection against the tangency-curve values beta1*, beta2*;
+# the only tolerance that decides a double root.
 _BAND_EDGE_RTOL = 1e-12
-
-# Residual target for polished roots.
-_ROOT_RESIDUAL = 1e-11
-
-_SCAN_POINTS = 10_000
 
 
 class Interval(enum.Enum):
@@ -97,7 +89,7 @@ class CollinearRoot:
 
 @dataclass(frozen=True)
 class ResolvedCount:
-    """Exact expected outcome of the scan: `count` roots, `double` if one
+    """Exact root count of one interval: `count` roots, `double` if one
     of them has multiplicity 2 (then count == 1)."""
 
     count: int
@@ -156,23 +148,6 @@ def f_axis_unreduced(params: SystemParams, x: float) -> float:
     return x - t1 - t2
 
 
-def _f_axis_array(params: SystemParams, xs: np.ndarray) -> np.ndarray:
-    """Vectorized piecewise F over points away from the poles."""
-    mu = params.mu
-    d1, d2 = xs + mu, xs + mu - 1.0
-    t1 = params.beta1 * (1.0 - mu) / (d1 * d1) if params.beta1 != 0.0 else np.zeros_like(xs)
-    t2 = params.beta2 * mu / (d2 * d2) if params.beta2 != 0.0 else np.zeros_like(xs)
-    return xs - np.sign(d1) * t1 - np.sign(d2) * t2
-
-
-def _f_prime_array(params: SystemParams, xs: np.ndarray) -> np.ndarray:
-    mu = params.mu
-    r1, r2 = np.abs(xs + mu), np.abs(xs + mu - 1.0)
-    t1 = 2.0 * params.beta1 * (1.0 - mu) / r1**3 if params.beta1 != 0.0 else np.zeros_like(xs)
-    t2 = 2.0 * params.beta2 * mu / r2**3 if params.beta2 != 0.0 else np.zeros_like(xs)
-    return 1.0 + t1 + t2
-
-
 def mirror(params: SystemParams, x: float) -> tuple[SystemParams, float]:
     """The body-swap symmetry (mu, b1, b2, x) -> (1-mu, b2, b1, -x).
 
@@ -201,17 +176,6 @@ def classify_region(params: SystemParams) -> BetaRegion:
     if b2 < 0.0:
         return BetaRegion.S41 if b1 < 1.0 else BetaRegion.S42
     return BetaRegion.S11 if b1 <= 1.0 else BetaRegion.S12
-
-
-# (region, interval) pairs with the concave two-root geometry
-_CONCAVE_PAIRS = {
-    (BetaRegion.S2, Interval.I1),
-    (BetaRegion.S2, Interval.I2),
-    (BetaRegion.S41, Interval.I2),
-    (BetaRegion.S41, Interval.I3),
-    (BetaRegion.S42, Interval.I2),
-    (BetaRegion.S42, Interval.I3),
-}
 
 
 def predicted_root_count(params: SystemParams, interval: Interval) -> PredictedCount:
@@ -310,22 +274,16 @@ def _xr1(mu: float) -> float:
     """The root of g_tilde(., mu) in (-mu, -mu/3).
 
     g_tilde(-mu) = -4 mu (1-mu) < 0 and g_tilde(-mu/3) = 16 mu**4/27 > 0,
-    so a sign change is guaranteed; a fine scan confirms it is unique.
+    so a sign change is guaranteed; it is the only one (the tests confirm
+    that with a fine scan over mu).
     """
     if not (0.0 < mu < 1.0):
         raise ValidationError(f"mu must lie in (0, 1), got {mu!r}")
     if mu <= _XR1_SERIES_MU:
         return critical_roots_series(mu)[0]
     a, b = -mu, -mu / 3.0
-    xs = np.linspace(a, b, 513)
-    vals = np.asarray(g_tilde(xs, mu))
-    signs = np.sign(vals)
-    nz = signs != 0
-    flips = int(np.sum(np.abs(np.diff(signs[nz])) > 1))
-    if vals[0] >= 0.0 or vals[-1] <= 0.0 or flips != 1:
-        raise RootNotBracketed(
-            f"g_tilde(., mu={mu!r}) does not change sign exactly once on ({a!r}, {b!r})"
-        )
+    if not g_tilde(a, mu) < 0.0 < g_tilde(b, mu):
+        raise RootNotBracketed(f"g_tilde(., mu={mu!r}) does not change sign on ({a!r}, {b!r})")
     return brentq(lambda x: g_tilde(x, mu), a, b, xtol=1e-15)
 
 
@@ -473,8 +431,8 @@ def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCou
 
     Refines `predicted_root_count` into {0, 1, 2, one-double} by locating
     the tangency abscissa x^ for the concave pairs and comparing the free
-    beta against the curve value there. Used as the theorem-side oracle
-    for scans and rasters.
+    beta against the curve value there. `find_in_interval` solves for
+    exactly this many roots.
     """
     region = classify_region(params)
     if region in (BetaRegion.INADMISSIBLE, BetaRegion.AXIS_ORIGIN):
@@ -513,113 +471,145 @@ def _band_compare(diff: float, scale: float, above_exists: bool) -> ResolvedCoun
 
 # ---------------------------------------------------------------------------
 # numerical root finding
+#
+# The count comes from resolved_root_count; each root is then one Brent
+# solve in a bracket whose end signs follow from the limits of F. F -> -inf
+# as x -> -inf and F -> +inf as x -> +inf. Next to primary i, F follows its
+# beta term, +-beta_i/rho_i**2 (+ on the left of the primary, - on its
+# right), and F' follows sign(beta_i); where beta_i = 0 F tends to a
+# finite value instead. On the six concave pairs F' changes sign exactly
+# once (it is monotone in the distance to the primary, after multiplying
+# by rho**3 on I1 and I3), at the extremum x*, which splits two roots.
 
 
-def _scan_grid(a: float, b: float, pole_a: bool, pole_b: bool, n: int) -> np.ndarray:
-    """Strictly interior scan points with log clustering toward pole endpoints."""
-    span = b - a
-    pts = [np.linspace(a, b, n)[1:-1]]
-    offsets = span * np.logspace(-13.0, -0.5, 120)
-    if pole_a:
-        pts.append(a + offsets)
-    if pole_b:
-        pts.append(b - offsets)
-    xs = np.unique(np.concatenate(pts))
-    return xs[(xs > a) & (xs < b)]
+def _end(params: SystemParams, k: int, right: bool) -> tuple[float, float, float]:
+    """(abscissa, sign of F, sign of F') at an interval end: k = 0 is -inf,
+    1 primary 1 at -mu, 2 primary 2 at 1-mu, 3 is +inf; `right` when the
+    end closes the interval on the right, so that a primary is approached
+    from its left."""
+    if k in (0, 3):
+        return (-math.inf, -1.0, 1.0) if k == 0 else (math.inf, 1.0, 1.0)
+    if k == 1:   # F(-mu) = mu (beta2 - 1) where beta1 = 0
+        pole, beta, value = -params.mu, params.beta1, params.beta2 - 1.0
+    else:        # F(1-mu) = (1-mu)(1 - beta1) where beta2 = 0
+        pole, beta, value = 1.0 - params.mu, params.beta2, 1.0 - params.beta1
+    if beta == 0.0:
+        return pole, math.copysign(1.0, value), 1.0
+    sign = math.copysign(1.0, beta)
+    return pole, sign if right else -sign, sign
 
 
-def _bracket_roots(params: SystemParams, xs: np.ndarray, vals: np.ndarray) -> list[float]:
-    """brentq every sign change of `vals` along `xs`, then polish with Newton."""
-    roots: list[float] = []
-    finite = np.isfinite(vals)
-    xs, vals = xs[finite], vals[finite]
-    sign = np.sign(vals)
-    hits = np.nonzero(sign == 0.0)[0]
-    for i in hits:
-        roots.append(float(xs[i]))
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    for i in flips:
-        r = brentq(lambda x: f_axis(params, x), xs[i], xs[i + 1], xtol=1e-15)
-        for _ in range(3):
-            fp = f_axis_prime(params, r)
-            if fp == 0.0:
-                break
-            step = f_axis(params, r) / fp
-            if not math.isfinite(step) or abs(step) > abs(xs[i + 1] - xs[i]):
-                break
-            r -= step
-            if abs(step) < 1e-16 * max(1.0, abs(r)):
-                break
-        roots.append(r)
-    return sorted(roots)
+def _reach(fn, start: float, end: float, other: float, sign: float, partner):
+    """A bracket (x, y) of a sign change of fn met on the way from start to end.
 
-
-def _interval_domain(params: SystemParams, interval: Interval) -> tuple[float, float, bool, bool]:
-    """(a, b, pole_a, pole_b) for the finite scan window of an interval.
-
-    All roots obey |F| >= |x| - |beta1| - |beta2| - 2 far out, so the
-    unbounded intervals are cut at L = 2 + |beta1| + |beta2|.
+    x is the first probe where fn has `sign` or vanishes, y the probe
+    before it (where fn had the other sign), or `partner` when x is the
+    first probe. Toward a primary (finite `end`) the distance to it is
+    halved, starting at `start` itself; toward +-inf the distance from
+    `other`, the interval's far end, is doubled. RootNotBracketed when the
+    walk runs into `end` in doubles or fn cannot be evaluated there.
     """
-    mu = params.mu
-    L = 2.0 + abs(params.beta1) + abs(params.beta2)
-    if interval is Interval.I1:
-        return -L, -mu, False, True
-    if interval is Interval.I2:
-        return -mu, 1.0 - mu, True, True
-    return 1.0 - mu, L, True, False
+    if math.isinf(end):
+        origin, step, factor = start, start - other, 2.0
+    else:
+        origin, step, factor = end, start - end, 0.5
+    while True:
+        x = origin + step
+        if x == end:
+            break
+        try:
+            if sign * fn(x) >= 0.0:
+                return x, partner
+        except (AtPrimary, ArithmeticError):
+            break
+        partner = x
+        step *= factor
+    raise RootNotBracketed(
+        f"cannot bracket a root between x = {start!r} and {end!r}: "
+        f"no double there gives the sign {sign:+.0f}"
+    )
 
 
-def _extrema(params: SystemParams, interval: Interval) -> list[float]:
-    """Interior critical points of F, from a sign scan of F'."""
-    a, b, pa, pb = _interval_domain(params, interval)
-    xs = _scan_grid(a, b, pa, pb, 2000)
-    dv = _f_prime_array(params, xs)
-    finite = np.isfinite(dv)
-    xs, dv = xs[finite], dv[finite]
-    sign = np.sign(dv)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+def _bracket(fn, lo: tuple, hi: tuple, which: int) -> tuple[float, float]:
+    """A bracket inside the interval (lo[0], hi[0]) of fn, whose limits
+    at the ends have the opposite signs lo[which] and hi[which]."""
+    (x_lo, s_lo), (x_hi, s_hi) = (lo[0], lo[which]), (hi[0], hi[which])
+    if math.isinf(x_lo):
+        b, a = _reach(fn, x_hi - 1.0, x_hi, x_lo, s_hi, None)
+        return _reach(fn, b, x_lo, x_hi, s_lo, b) if a is None else (a, b)
+    if math.isinf(x_hi):
+        a, b = _reach(fn, x_lo + 1.0, x_lo, x_hi, s_lo, None)
+        return _reach(fn, a, x_hi, x_lo, s_hi, a) if b is None else (a, b)
+    mid = 0.5 * (x_lo + x_hi)
+    a, b = _reach(fn, mid, x_lo, x_hi, s_lo, None)
+    return _reach(fn, mid, x_hi, x_lo, s_hi, a) if b is None else (a, b)
+
+
+def _solve(fn, a: float, b: float) -> float:
+    """Brent on the bracket [a, b], converged to a few ulps of the root.
+
+    Brent runs on x and fn scaled by powers of two that bring the larger
+    end and the larger |fn| there to order one. Powers of two scale
+    exactly, so the iterates are Brent's on fn itself, but its products of
+    values and steps cannot underflow where x and F are tiny.
+    """
+    ex = math.frexp(max(abs(a), abs(b)))[1]
+    ef = math.frexp(max(abs(fn(a)), abs(fn(b))))[1]    # 0 for an infinite end
+    scale = math.ldexp(1.0, min(-ef, 1000))             # 2**1074 would overflow
+    u = brentq(lambda u: fn(math.ldexp(u, ex)) * scale, math.ldexp(a, -ex), math.ldexp(b, -ex), xtol=0.0)
+    return math.ldexp(u, ex)
+
+
+def _root(f, interval: Interval, a: float, b: float) -> CollinearRoot:
+    """The simple root of f in [a, b]: Brent, then the float neighbour with least |F|."""
+    x = _solve(f, a, b)
+    fx = f(x)
+    for toward in (min(a, b), max(a, b)):
+        while x != toward:
+            y = math.nextafter(x, toward)
+            fy = f(y)
+            if not abs(fy) < abs(fx):
+                break
+            x, fx = y, fy
+    return CollinearRoot(x, interval, 1, fx)
+
+
+def find_in_interval(params: SystemParams, interval: Interval) -> list[CollinearRoot]:
+    """The roots of F inside one interval, as many as `resolved_root_count` says.
+
+    One root is solved between the two ends; on a concave pair the
+    extremum x* is solved first and is the double root, or splits the two
+    roots into [near end, x*] and [x*, far end]. RootNotBracketed when a
+    bracket cannot be formed in doubles (a root within an ulp of a
+    primary) or F(x*) contradicts the count.
+    """
+    want = resolved_root_count(params, interval)
+    if want.count == 0:
+        return []
+    k = list(Interval).index(interval)
+    lo, hi = _end(params, k, False), _end(params, k + 1, True)
+    f = partial(f_axis, params)
+    if want.count == 1 and not want.double:
+        return [_root(f, interval, *_bracket(f, lo, hi, 1))]
+    fp = partial(f_axis_prime, params)
+    x_star = _solve(fp, *_bracket(fp, lo, hi, 2))
+    f_star = f(x_star)
+    if want.double:
+        return [CollinearRoot(x_star, interval, 2, f_star)]
+    s = lo[1]   # F has this sign at both ends and the other one at x*
+    if not s * f_star < 0.0:
+        raise RootNotBracketed(f"F(x*) = {f_star!r} at x* = {x_star!r} leaves no two roots")
     return [
-        brentq(lambda x: f_axis_prime(params, x), xs[i], xs[i + 1], xtol=1e-15)
-        for i in flips
+        _root(f, interval, *_reach(f, x_star, lo[0], hi[0], s, x_star)),
+        _root(f, interval, *_reach(f, x_star, hi[0], lo[0], s, x_star)),
     ]
 
 
-def find_in_interval(
-    params: SystemParams, interval: Interval, n_scan: int = _SCAN_POINTS
-) -> list[CollinearRoot]:
-    """Roots of F inside one interval by sign-scan bracketing.
-
-    The concave (region, interval) pairs get an extra extremum probe: a
-    flat-enough extremum is a tangent double root, reported once with
-    multiplicity 2, and any other extremum joins the scan grid so that
-    nearly coincident root pairs cannot slip between grid points.
-    """
-    region = classify_region(params)
-    if region in (BetaRegion.INADMISSIBLE, BetaRegion.AXIS_ORIGIN):
-        raise InadmissibleParams(
-            f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) is not admissible"
-        )
-    extrema: list[float] = []
-    if (region, interval) in _CONCAVE_PAIRS:
-        extrema = _extrema(params, interval)
-        for x_star in extrema:
-            f_star = f_axis(params, x_star)
-            if abs(f_star) < _DOUBLE_F_TOL and abs(f_axis_prime(params, x_star)) < _DOUBLE_FPRIME_TOL:
-                return [CollinearRoot(x_star, interval, 2, f_star)]
-    a, b, pa, pb = _interval_domain(params, interval)
-    xs = _scan_grid(a, b, pa, pb, n_scan)
-    if extrema:
-        xs = np.unique(np.concatenate([xs, np.asarray(extrema, dtype=float)]))
-        xs = xs[(xs > a) & (xs < b)]
-    vals = _f_axis_array(params, xs)
-    return [CollinearRoot(r, interval, 1, f_axis(params, r)) for r in _bracket_roots(params, xs, vals)]
-
-
-def find_collinear(params: SystemParams, n_scan: int = _SCAN_POINTS) -> list[CollinearRoot]:
-    """All roots of F across I1, I2, I3 by sign-scan bracketing."""
+def find_collinear(params: SystemParams) -> list[CollinearRoot]:
+    """All roots of F across I1, I2, I3."""
     out: list[CollinearRoot] = []
     for interval in Interval:
-        out.extend(find_in_interval(params, interval, n_scan))
+        out.extend(find_in_interval(params, interval))
     return out
 
 
@@ -635,19 +625,12 @@ def limit_collinear(params: SystemParams) -> list[CollinearRoot]:
         raise NotOnLimitLocus(
             f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) must lie in R'_1"
         )
-    d1, d2 = params.delta1, params.delta2
-    mu = params.mu
-    if abs(d2 - d1 - 1.0) <= 1e-12:
-        x = -mu - d1
-        interval = Interval.I1
-    elif abs(d1 + d2 - 1.0) <= 1e-12:
-        x = -mu + d1
-        interval = Interval.I2
-    elif abs(d1 - d2 - 1.0) <= 1e-12:
-        x = -mu + d1
-        interval = Interval.I3
-    else:
+    line = _limit_line(params)
+    if line is None:
         raise NotOnLimitLocus(
-            f"deltas ({d1!r}, {d2!r}) are not on any delta_i +/- delta_j = 1 line"
+            f"deltas ({params.delta1!r}, {params.delta2!r}) are not on any delta_i +/- delta_j = 1 line"
         )
+    d1 = params.delta1
+    x = -params.mu - d1 if line == 0 else -params.mu + d1
+    interval = list(Interval)[line]
     return [CollinearRoot(x, interval, 1, f_axis(params, x))]

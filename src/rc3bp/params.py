@@ -100,6 +100,20 @@ class SystemParams:
         }
 
 
+def _limit_line(params: SystemParams) -> int | None:
+    """Which degeneracy line (delta1, delta2) lies on within 1e-12, if any.
+
+    0 for delta2 - delta1 = 1, 1 for delta1 + delta2 = 1, 2 for
+    delta1 - delta2 = 1 (the first that holds): the triangular points
+    collapse onto the axis there, in I1, I2 and I3 respectively.
+    """
+    d1, d2 = params.delta1, params.delta2
+    for line, value in enumerate((d2 - d1, d1 + d2, d1 - d2)):
+        if abs(value - 1.0) <= 1e-12:
+            return line
+    return None
+
+
 @dataclass(frozen=True)
 class PhysicalSystem:
     """Raw masses and charges of the three bodies plus force constants.

@@ -31,13 +31,11 @@ import numpy as np
 
 from .dynamics import potential
 from .errors import BelowCriticalMass, NotOnTriangularLocus, ValidationError
-from .params import SystemParams
+from .params import SystemParams, _limit_line
 from .triangular import triangular_exists
 
 # F = 0 / F = 1 are honored exactly within this absolute band.
 _BOUNDARY_ATOL = 1e-12
-
-_LIMIT_LOCUS_ATOL = 1e-12
 
 
 class StabilityClass(enum.Enum):
@@ -113,14 +111,9 @@ def f_zero_eigenvector(vxx: float, vxy: float, lam: complex) -> np.ndarray:
 
 
 def _on_limit_locus(params: SystemParams) -> bool:
-    d1, d2 = params.delta1, params.delta2
     if params.beta1 <= 0.0 or params.beta2 <= 0.0 or not params.admissible:
         return False
-    return (
-        abs(d2 - d1 - 1.0) <= _LIMIT_LOCUS_ATOL
-        or abs(d1 + d2 - 1.0) <= _LIMIT_LOCUS_ATOL
-        or abs(d1 - d2 - 1.0) <= _LIMIT_LOCUS_ATOL
-    )
+    return _limit_line(params) is not None
 
 
 def gamma_of(params: SystemParams) -> float:

@@ -21,6 +21,7 @@ from rc3bp.collinear import BetaRegion, Interval
 from rc3bp.dynamics import PhaseState, equilibrium_state, integrate, omega_gradient
 from rc3bp.params import SystemParams, is_admissible
 from rc3bp.triangular import triangular_exists, triangular_points
+from scan_oracle import scan_in_interval
 
 _ALL_REGIONS = (
     BetaRegion.S11,
@@ -82,23 +83,33 @@ def test_criterion_01_equilibrium_residuals(criterion):
 
 
 def test_criterion_02_root_count_conformance(criterion):
+    # the theorem's counts against the dense sign scan (tests/scan_oracle.py),
+    # and the library's roots against the scan's roots
     rng = np.random.default_rng(102)
     t0 = time.perf_counter()
     mismatches = 0
+    root_mismatches = 0
     for region in _ALL_REGIONS:
         for _ in range(1000):
             p = _draw_region(rng, region)
             for iv in Interval:
                 want = collinear.resolved_root_count(p, iv)
-                roots = collinear.find_in_interval(p, iv)
-                double = any(r.multiplicity == 2 for r in roots)
-                if len(roots) != want.count or double != want.double:
+                scanned = scan_in_interval(p, iv)
+                double = any(r.multiplicity == 2 for r in scanned)
+                if len(scanned) != want.count or double != want.double:
                     mismatches += 1
+                roots = collinear.find_in_interval(p, iv)
+                if len(roots) != len(scanned) or any(
+                    r.multiplicity != s.multiplicity or abs(r.x - s.x) > 1e-9
+                    for r, s in zip(roots, scanned)
+                ):
+                    root_mismatches += 1
     dt = time.perf_counter() - t0
-    ok = mismatches == 0 and dt < 60.0
+    ok = mismatches == 0 and root_mismatches == 0 and dt < 60.0
     criterion(
         f"criterion 2 root-count conformance: {'PASS' if ok else 'FAIL'} "
-        f"({mismatches} mismatches over 7000 draws x 3 intervals; runtime {dt:.1f}s < 60s)"
+        f"({mismatches} scan-count and {root_mismatches} finder-root mismatches over "
+        f"7000 draws x 3 intervals; runtime {dt:.1f}s < 60s)"
     )
     assert ok
 
@@ -374,9 +385,7 @@ def test_criterion_09_region_consistency(criterion):
                 if not is_admissible(b1, b2):
                     want = 0
                 else:
-                    roots = collinear.find_in_interval(
-                        SystemParams(mu_c, b1, b2), iv, n_scan=2000
-                    )
+                    roots = scan_in_interval(SystemParams(mu_c, b1, b2), iv, n_scan=2000)
                     if any(rt.multiplicity == 2 for rt in roots):
                         want = 4
                     else:

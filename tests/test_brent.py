@@ -2,9 +2,11 @@
 
 scipy is the independent oracle here: the port must return the very
 same float (and raise the same error) on every bracket, with scipy set to
-the port's fixed rtol and iteration limit.
+the port's fixed rtol and iteration limit. The last tests check what the
+root-finding paths import: no scipy, and no numpy for collinear queries.
 """
 
+import importlib
 import math
 import os
 import subprocess
@@ -143,3 +145,33 @@ def test_cli_start_up_does_not_import_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_collinear_path_does_not_import_numpy():
+    # the package imports each public name on first use, and the collinear
+    # solver is pure Python, so collinear queries run without numpy
+    code = "\n".join(
+        [
+            "import sys",
+            "import rc3bp",
+            "from rc3bp import collinear",
+            "p = rc3bp.SystemParams(0.3, -0.001, 0.5)",
+            "assert collinear.find_collinear(p) and collinear.critical_roots(0.3)",
+            "assert rc3bp.find_collinear(rc3bp.SystemParams(0.3, 0.5, -0.1))",
+            "assert 'numpy' not in sys.modules",
+            "assert all(getattr(rc3bp, name) is not None for name in rc3bp.__all__)",
+            "assert 'numpy' in sys.modules",
+        ]
+    )
+    src = str(Path(rc3bp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_are_their_submodules_objects():
+    for name in rc3bp.__all__[1:]:
+        module = importlib.import_module(f"rc3bp.{rc3bp._MODULE_OF[name]}")
+        assert getattr(rc3bp, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        rc3bp.no_such_name

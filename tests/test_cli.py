@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from rc3bp import cli, collinear, regions
 from rc3bp.cli import main
 from rc3bp.errors import ValidationError
+from rc3bp.params import SystemParams
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -136,6 +138,43 @@ def test_stability_free_point_unclassified(capsys):
     d = json.loads(out)
     assert d["classification"] is None and d["F"] is None and d["gamma"] is None
     assert len(d["eigenvalues"]) == 4
+
+
+def run_collinear(capsys, *argv):
+    """`equilibria --kind collinear` in-process, with RuntimeWarning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run(capsys, "equilibria", "--kind", "collinear", *argv)
+
+
+def test_collinear_equilibria_find_the_i3_root_next_to_primary_2(capsys):
+    # S2 at beta1 = -1e10: the I3 root lies about 5e-6 beyond primary 2
+    code, out, _ = run_collinear(capsys, "--mu", "0.2", "--beta1=-1e10", "--beta2", "1")
+    assert code == 0
+    d = json.loads(out)
+    assert d["predicted"]["I3"] == "exactly-one"
+    (root,) = d["roots"]
+    assert root["interval"] == "I3" and 0.0 < root["x"] - 0.8 < 1e-5
+
+
+def test_collinear_equilibria_exit_3_where_the_root_is_within_an_ulp_of_a_primary(capsys):
+    # at beta1 = -1e300 the I3 root lies about 5e-151 beyond primary 2,
+    # closer than one ulp of 0.8, so no bracket of it exists in doubles
+    code, out, err = run_collinear(capsys, "--mu", "0.2", "--beta1=-1e300", "--beta2", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure: cannot bracket a root")
+
+
+def test_collinear_equilibria_never_contradict_the_resolved_count(capsys):
+    # the second I2 root lies about 1e-40 from primary 2, below one ulp
+    code, out, _ = run_collinear(capsys, "--mu", "1e-80", "--beta1", "0.5", "--beta2=-0.5")
+    p = SystemParams(1e-80, 0.5, -0.5)
+    assert collinear.resolved_root_count(p, collinear.Interval.I2).count == 2
+    if code == 0:
+        d = json.loads(out)
+        assert [r["interval"] for r in d["roots"]] == ["I1", "I2", "I2"]
+    else:
+        assert (code, out) == (3, "")
 
 
 def test_critical_roots_series_flag(capsys):

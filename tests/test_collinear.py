@@ -36,6 +36,7 @@ from rc3bp.collinear import (
 )
 from rc3bp.errors import AtPrimary, InadmissibleParams, NotOnLimitLocus, RootNotBracketed
 from rc3bp.params import SystemParams
+from scan_oracle import scan_in_interval
 
 
 def _draw_in_region(rng, region, mu=None):
@@ -182,9 +183,13 @@ def test_scan_matches_resolved_count_all_regions():
             p = _draw_in_region(rng, region)
             for iv in Interval:
                 rc = resolved_root_count(p, iv)
+                scanned = scan_in_interval(p, iv)
+                assert len(scanned) == rc.count, (region, iv, p)
+                assert any(r.multiplicity == 2 for r in scanned) == rc.double
                 roots = find_in_interval(p, iv)
-                assert len(roots) == rc.count, (region, iv, p)
-                assert any(r.multiplicity == 2 for r in roots) == rc.double
+                assert [r.multiplicity for r in roots] == [r.multiplicity for r in scanned]
+                for r, s in zip(roots, scanned):
+                    assert abs(r.x - s.x) <= 1e-9, (region, iv, p)
 
 
 def test_band_edges_bound_the_two_root_regions():
@@ -203,6 +208,84 @@ def test_band_edges_bound_the_two_root_regions():
         inside = resolved_root_count(make(edge + step), iv)
         outside = resolved_root_count(make(edge - step), iv)
         assert (inside.count, outside.count) == (2, 0)
+
+
+def _unreduced_scale(p, x):
+    """|x| + |t1| + |t2|, the size of the terms of the unreduced F at x."""
+    return abs(x) + abs(p.beta1) * (1.0 - p.mu) / (x + p.mu) ** 2 + abs(p.beta2) * p.mu / (
+        x + p.mu - 1.0
+    ) ** 2
+
+
+def test_finder_follows_resolved_count_at_band_edge_offsets():
+    # the free beta at relative offsets +-1e-6 .. +-1e-13 from the four
+    # concave band edges that lie inside their regions, at several mu
+    covered = {}
+    for mu in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+        cases = [
+            (BetaRegion.S2, Interval.I1, -0.5, band_edge_i1, True),
+            (BetaRegion.S2, Interval.I2, -2.0 * mu**3 / (27.0 * (1.0 - mu)), band_edge_i2_s2, True),
+            (BetaRegion.S41, Interval.I2, -2.0 * (1.0 - mu) ** 3 / (27.0 * mu), band_edge_i2_r4, False),
+            (BetaRegion.S42, Interval.I3, -0.5, band_edge_i3, False),
+        ]
+        for region, iv, near, band_edge, body1 in cases:
+            edge = band_edge(mu, near)
+            if edge is None:
+                continue
+            for k in range(6, 14):
+                for sign in (1.0, -1.0):
+                    free = edge * (1.0 + sign * 10.0**-k)
+                    p = SystemParams(mu, near, free) if body1 else SystemParams(mu, free, near)
+                    assert classify_region(p) is region, p
+                    want = resolved_root_count(p, iv)
+                    roots = find_in_interval(p, iv)
+                    got = (len(roots), any(r.multiplicity == 2 for r in roots))
+                    assert got == (want.count, want.double), (p, iv, k, sign)
+                    for r in roots:
+                        tol = 1e-6 if r.multiplicity == 2 else 1e-9
+                        assert interval_of(mu, r.x) is iv
+                        assert abs(f_axis_unreduced(p, r.x)) <= tol * _unreduced_scale(p, r.x)
+            covered[region, iv] = covered.get((region, iv), 0) + 1
+    assert len(covered) == 4 and min(covered.values()) >= 3, covered
+
+
+@pytest.mark.parametrize("mu", [1e-200, 1e-310])
+def test_roots_at_tiny_scales(mu):
+    # S5 at tiny mu: rho2 rounds to 1 near primary 1, so F = x + 3 mu there
+    # and its I1 root is -3 mu exactly; Brent's products of F values and
+    # steps at this scale would underflow without rescaling
+    (root,) = find_in_interval(SystemParams(mu, 0.0, 3.0), Interval.I1)
+    assert (root.x, root.residual) == (-3.0 * mu, 0.0)
+
+
+def test_root_far_below_the_bracket_start():
+    # S_{1,1} at mu = 1e-200: F = x - 1e-100/x**2 + 1e100 on I2 next to
+    # primary 1, so the root is 1e-100, about 330 halvings from the
+    # midpoint; Brent converges on the last two probes, not on [root, 1/2]
+    (root,) = find_in_interval(SystemParams(1e-200, 1e-100, 1e300), Interval.I2)
+    assert root.x == pytest.approx(1e-100, rel=1e-15)
+
+
+def test_simple_roots_are_the_least_residual_float_around_them():
+    rng = np.random.default_rng(23)
+    for region in list(BetaRegion)[:7]:
+        for _ in range(40):
+            p = _draw_in_region(rng, region)
+            for root in find_collinear(p):
+                if root.multiplicity == 1:
+                    for toward in (-math.inf, math.inf):
+                        y = math.nextafter(root.x, toward)
+                        assert abs(root.residual) <= abs(f_axis(p, y)), (p, root)
+
+
+def test_finder_errors_where_the_root_is_closer_than_an_ulp_to_a_primary():
+    # the S2/I3 root at beta1 = -1e300 lies about 5e-151 from primary 2,
+    # and the second S_{4,1}/I2 root at mu = 1e-80 about 1e-40 from it
+    with pytest.raises(RootNotBracketed):
+        find_in_interval(SystemParams(0.2, -1e300, 1.0), Interval.I3)
+    assert resolved_root_count(SystemParams(1e-80, 0.5, -0.5), Interval.I2).count == 2
+    with pytest.raises(RootNotBracketed):
+        find_in_interval(SystemParams(1e-80, 0.5, -0.5), Interval.I2)
 
 
 def test_band_edge_none_when_band_is_empty():
@@ -358,6 +441,17 @@ def test_gtilde_endpoint_values():
     for mu in (0.1, 0.3, 0.5):
         assert g_tilde(-mu, mu) == pytest.approx(-4.0 * mu * (1.0 - mu), rel=1e-13)
         assert g_tilde(-mu / 3.0, mu) == pytest.approx(16.0 * mu**4 / 27.0, rel=1e-10)
+
+
+def test_gtilde_changes_sign_once_where_xr1_solves_it():
+    # _xr1 solves g_tilde on (-mu, -mu/3) from its end signs alone; a fine
+    # scan confirms the sign change is unique for every mass ratio it sees
+    # (mu above the series cutoff, and 1 - mu for x_r2)
+    mus = np.concatenate([np.geomspace(1e-4, 0.5, 300), 1.0 - np.geomspace(1.2e-16, 0.5, 300)])
+    for mu in mus:
+        signs = np.sign(g_tilde(np.linspace(-mu, -mu / 3.0, 4097), mu))
+        assert signs[0] < 0.0 < signs[-1]
+        assert int(np.sum(signs[1:] != signs[:-1])) == 1, mu
 
 
 def test_gtilde_small_mu_limit():

@@ -10,6 +10,7 @@ from rc3bp.params import (
     ForceRegime,
     PhysicalSystem,
     SystemParams,
+    _limit_line,
     force_regime,
     is_admissible,
     reduce,
@@ -100,6 +101,29 @@ def test_delta_is_signed_cube_root():
     p = SystemParams(0.25, 8.0, -0.027)
     assert p.delta1 == pytest.approx(2.0, rel=1e-15)
     assert p.delta2 == pytest.approx(-0.3, rel=1e-15)
+
+
+def test_limit_line_matches_the_three_written_out_tests():
+    # points on, next to (within and beyond 1e-12) and off each line
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(3000):
+        d1 = rng.uniform(0.05, 2.0)
+        d2 = rng.choice([d1 + 1.0, 1.0 - d1, d1 - 1.0, rng.uniform(0.05, 2.0)])
+        d2 += rng.choice([0.0, 5e-13, -5e-13, 2e-12, -2e-12])
+        p = SystemParams(0.3, d1**3, d2**3)
+        e1, e2 = p.delta1, p.delta2
+        if abs(e2 - e1 - 1.0) <= 1e-12:
+            want = 0
+        elif abs(e1 + e2 - 1.0) <= 1e-12:
+            want = 1
+        elif abs(e1 - e2 - 1.0) <= 1e-12:
+            want = 2
+        else:
+            want = None
+        assert _limit_line(p) == want, p
+        seen.add(want)
+    assert seen == {0, 1, 2, None}
 
 
 def test_force_regime_five_cases():

@@ -11,7 +11,6 @@ from rc3bp.collinear import (
     band_edge_i3,
     f_axis,
     f_axis_prime,
-    find_in_interval,
     resolved_root_count,
 )
 from rc3bp.errors import DegenerateGamma
@@ -36,6 +35,7 @@ from rc3bp.regions import (
     triangular_region_raster,
 )
 from rc3bp.triangular import triangular_points
+from scan_oracle import scan_in_interval
 
 
 def test_raster_geometry_and_centers():
@@ -128,7 +128,7 @@ def test_collinear_raster_matches_scan_spot_checks():
         if not is_admissible(b1, b2):
             assert r.labels[j, i] == 0
             continue
-        roots = find_in_interval(SystemParams(mu, b1, b2), Interval.I3, n_scan=3000)
+        roots = scan_in_interval(SystemParams(mu, b1, b2), Interval.I3, n_scan=3000)
         dbl = any(rt.multiplicity == 2 for rt in roots)
         expect = 4 if dbl else {0: 1, 1: 2, 2: 3}[len(roots)]
         assert r.labels[j, i] == expect
