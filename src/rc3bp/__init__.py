@@ -5,7 +5,12 @@ and counting, linear stability of the triangular points, and the region
 geometry behind the published phase diagrams.
 
 Each public name is imported from its submodule on first use, so that
-`import rc3bp` loads numpy only when a name that needs it is used.
+`import rc3bp` loads numpy only when a name that needs it is used. The
+parameter checks, the two-body and triangular closed forms, the
+collinear counts and roots, `potential`, `hamiltonian`, `eom` and
+`classify_triangular` run without numpy; the rasters and datasets of
+`regions`, `integrate`, `PhaseState.as_array`, `linearization` and
+`f_zero_eigenvector` load it.
 """
 
 import importlib
@@ -14,7 +19,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": (
-        "AtPrimary", "BelowCriticalMass", "CollisionSingularity",
+        "AtPrimary", "AxisOutOfRange", "BelowCriticalMass", "CollisionSingularity",
         "DegenerateGamma", "InadmissibleParams", "NonpositiveMass",
         "NonpositiveRadius", "NoTriangularSolution", "NotOnLimitLocus",
         "NotOnTriangularLocus", "NotRepulsive", "NumericError", "Rc3bpError",

@@ -7,6 +7,11 @@ shortest round-trip form in JSON), so identical inputs yield
 byte-identical outputs.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric or IO failure.
+
+numpy and the modules built on it (`regions`, `dynamics`, `stability`)
+are imported inside the subcommands that use them, so `validate`,
+`two-body`, `equilibria`, `critical-roots` and `stability` without
+`--point` start without numpy.
 """
 
 from __future__ import annotations
@@ -15,16 +20,19 @@ import argparse
 import enum
 import hashlib
 import json
+import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, collinear, dynamics, regions, stability, twobody
+from . import __version__, collinear, twobody
 from .collinear import Interval
 from .errors import Rc3bpError, ValidationError
 from .params import SystemParams
 from .triangular import classify_location, triangular_points
+
+if TYPE_CHECKING:
+    from . import regions
 
 
 def _fmt(v: float) -> str:
@@ -32,12 +40,14 @@ def _fmt(v: float) -> str:
 
 
 def _json_default(obj):
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, enum.Enum):
-        return obj.value
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
@@ -116,6 +126,8 @@ def _cmd_equilibria(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from . import stability
+
     params = SystemParams(args.mu, args.beta1, args.beta2)
     if args.point is not None:
         x, y = args.point
@@ -178,6 +190,8 @@ def _write_figure(dataset: regions.FigureDataset, csv_path: str, json_path: str)
 
 
 def _cmd_regions(args) -> int:
+    from . import regions
+
     dataset = regions.figure_dataset(args.figure, mu=args.mu, resolution=args.resolution)
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
     csv_path, json_path = base + ".csv", base + ".json"
@@ -187,16 +201,18 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    from . import dynamics
+
     params = SystemParams(args.mu, args.beta1, args.beta2)
     state = dynamics.PhaseState(*args.state)
     sample_times = None
     if args.every is not None:
-        if not (0.0 < args.every < np.inf and 0.0 < args.t_end < np.inf):
+        if not (0.0 < args.every < math.inf and 0.0 < args.t_end < math.inf):
             raise ValidationError(
                 f"--every and --t-end must be positive and finite, got {args.every!r} and "
                 f"{args.t_end!r}"
             )
-        n = int(np.floor(args.t_end / args.every + 1e-9))
+        n = math.floor(args.t_end / args.every + 1e-9)
         times = [i * args.every for i in range(n + 1)]
         if times[-1] < args.t_end - 1e-12 * max(1.0, args.t_end):
             times.append(args.t_end)
@@ -231,6 +247,8 @@ def _sha256(path: str) -> str:
 
 def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
     """Regenerate every figure dataset into out_dir and write the manifest."""
+    from . import regions
+
     os.makedirs(out_dir, exist_ok=True)
 
     entries: list[dict] = []
@@ -328,7 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_critical_roots)
 
     p = sub.add_parser("regions", help="figure dataset: raster CSV plus curves JSON")
-    p.add_argument("--figure", type=int, required=True, choices=regions.FIGURES)
+    p.add_argument(
+        "--figure", type=int, required=True,
+        help="figure number; an unknown one exits 2 and lists the figures",
+    )
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--out", required=True, help="output path; .csv and .json are derived")

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
-from ._brent import brentq
-from .errors import AtPrimary, InadmissibleParams, NotOnLimitLocus, RootNotBracketed
-from .errors import ValidationError
+from . import _brent
+from .errors import AtPrimary, AxisOutOfRange, InadmissibleParams, NotOnLimitLocus
+from .errors import RootNotBracketed, ValidationError
 from .params import SystemParams, _limit_line, is_admissible
 
 if TYPE_CHECKING:
@@ -96,6 +96,14 @@ class ResolvedCount:
     double: bool = False
 
 
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """`_brent.brentq`, with its non-convergence raised as RootNotBracketed."""
+    try:
+        return _brent.brentq(f, a, b, xtol)
+    except RuntimeError as exc:
+        raise RootNotBracketed(f"Brent's method stopped short of the root: {exc}") from None
+
+
 def interval_of(mu: float, x: float) -> Interval:
     if x == -mu or x == 1.0 - mu:
         raise AtPrimary(f"x = {x!r} is a primary abscissa")
@@ -111,14 +119,20 @@ def interval_of(mu: float, x: float) -> Interval:
 
 
 def f_axis(params: SystemParams, x: float) -> float:
-    """Piecewise-reduced F(x). Poles at the primaries raise AtPrimary."""
+    """Piecewise-reduced F(x). Poles at the primaries raise AtPrimary, and
+    points whose squared distance to a primary underflows AxisOutOfRange."""
     mu = params.mu
     d1, d2 = x + mu, x + mu - 1.0
     if d1 == 0.0 or d2 == 0.0:
         raise AtPrimary(f"F has a pole at x = {x!r}")
     # the beta == 0 guard keeps 0 * inf out of near-pole evaluations
-    t1 = params.beta1 * (1.0 - mu) / (d1 * d1) if params.beta1 != 0.0 else 0.0
-    t2 = params.beta2 * mu / (d2 * d2) if params.beta2 != 0.0 else 0.0
+    try:
+        t1 = params.beta1 * (1.0 - mu) / (d1 * d1) if params.beta1 != 0.0 else 0.0
+        t2 = params.beta2 * mu / (d2 * d2) if params.beta2 != 0.0 else 0.0
+    except ZeroDivisionError:
+        raise AxisOutOfRange(
+            f"F is not representable at x = {x!r}: its squared distance to a primary underflows"
+        ) from None
     if d1 > 0.0:
         t1 = -t1
     if d2 > 0.0:
@@ -127,13 +141,23 @@ def f_axis(params: SystemParams, x: float) -> float:
 
 
 def f_axis_prime(params: SystemParams, x: float) -> float:
-    """F'(x) = 1 + 2 beta1(1-mu)/rho1**3 + 2 beta2 mu/rho2**3 (all intervals)."""
+    """F'(x) = 1 + 2 beta1(1-mu)/rho1**3 + 2 beta2 mu/rho2**3 (all intervals).
+
+    AtPrimary at a pole; AxisOutOfRange where a rho_i**3 underflows or
+    overflows.
+    """
     mu = params.mu
     r1, r2 = abs(x + mu), abs(x + mu - 1.0)
     if r1 == 0.0 or r2 == 0.0:
         raise AtPrimary(f"F' has a pole at x = {x!r}")
-    t1 = 2.0 * params.beta1 * (1.0 - mu) / r1**3 if params.beta1 != 0.0 else 0.0
-    t2 = 2.0 * params.beta2 * mu / r2**3 if params.beta2 != 0.0 else 0.0
+    try:
+        t1 = 2.0 * params.beta1 * (1.0 - mu) / r1**3 if params.beta1 != 0.0 else 0.0
+        t2 = 2.0 * params.beta2 * mu / r2**3 if params.beta2 != 0.0 else 0.0
+    except (ZeroDivisionError, OverflowError):
+        raise AxisOutOfRange(
+            f"F' is not representable at x = {x!r}: a cubed distance to a primary "
+            "leaves the doubles"
+        ) from None
     return 1.0 + t1 + t2
 
 
@@ -520,7 +544,7 @@ def _reach(fn, start: float, end: float, other: float, sign: float, partner):
         try:
             if sign * fn(x) >= 0.0:
                 return x, partner
-        except (AtPrimary, ArithmeticError):
+        except (AtPrimary, AxisOutOfRange):
             break
         partner = x
         step *= factor

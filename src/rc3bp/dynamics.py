@@ -11,18 +11,23 @@ H = (px**2 + py**2)/2 + (y px - x py) - V are
 
     x'  = y + px          px' = Vx + py
     y'  = -x + py         py' = Vy - px.
+
+Only `PhaseState.as_array` and `integrate` use numpy, and they import it
+when called: the potential, the Hamiltonian and the right-hand side are
+plain `math`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CollisionSingularity, StepSizeUnderflow, ValidationError
 from .params import SystemParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Integration stops (reported, not raised) once min(rho1, rho2) drops below
 # this: close approaches drive the right-hand side toward overflow.
@@ -42,6 +47,8 @@ class PhaseState:
     py: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y, self.px, self.py], dtype=float)
 
     @staticmethod
@@ -201,6 +208,8 @@ def integrate(
     a primary closer than collision_radius ends the run early with
     reason "collision-approach".
     """
+    import numpy as np
+
     if not (0.0 < t_end < math.inf):
         raise ValidationError(f"t_end must be positive and finite, got {t_end!r}")
     if not (1e-14 <= tol <= 1e-3):

@@ -77,6 +77,11 @@ class RootNotBracketed(NumericError):
     """A guaranteed sign change was absent, or a spurious extra one appeared."""
 
 
+class AxisOutOfRange(NumericError):
+    """F(x) or F'(x) cannot be formed in doubles at x: a distance to a primary
+    underflows when squared or cubed, or overflows when cubed."""
+
+
 # stability
 class NotOnTriangularLocus(ValidationError):
     """gamma is only defined where rho_i = beta_i**(1/3) describes an equilibrium."""

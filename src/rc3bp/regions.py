@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import collinear
-from ._brent import brentq
-from .collinear import Interval
+from .collinear import Interval, brentq
 from .errors import DegenerateGamma, ValidationError
 from .stability import _BOUNDARY_ATOL, StabilityClass, _discriminant, critical_mu, gamma_mu
 

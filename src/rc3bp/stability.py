@@ -18,6 +18,9 @@ the vertex angle at the equilibrium (cos gamma = (1 - rho1**2 - rho2**2) /
 with the four-way classification: F < 0 spiral instability, F = 0 a
 non-diagonalizable double pair +-(sqrt2/2) i, 0 < F < 1 four distinct
 imaginary eigenvalues, F = 1 the axis-degenerate case 0, 0, +-i.
+
+The classification is closed-form `math`/`cmath`; only the matrices
+(`linearization`, `f_zero_eigenvector`) import numpy, when called.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dynamics import potential
 from .errors import BelowCriticalMass, NotOnTriangularLocus, ValidationError
 from .params import SystemParams, _limit_line
 from .triangular import triangular_exists
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # F = 0 / F = 1 are honored exactly within this absolute band.
 _BOUNDARY_ATOL = 1e-12
@@ -63,6 +68,8 @@ class StabilityReport:
 
 def linearization(params: SystemParams, x: float, y: float) -> np.ndarray:
     """The 4x4 matrix of the flow linearized at (x, y) with equilibrium momenta."""
+    import numpy as np
+
     s = potential(params, x, y)
     return np.array(
         [
@@ -99,6 +106,8 @@ def f_zero_eigenvector(vxx: float, vxy: float, lam: complex) -> np.ndarray:
     with D = lam**3 + lam (1 - Vxx) + Vxy; one direction per lam is what
     makes the matrix non-diagonalizable.
     """
+    import numpy as np
+
     d = lam**3 + lam * (1.0 - vxx) + vxy
     return np.array(
         [

@@ -2,11 +2,14 @@
 
 scipy is the independent oracle here: the port must return the very
 same float (and raise the same error) on every bracket, with scipy set to
-the port's fixed rtol and iteration limit. The last tests check what the
-root-finding paths import: no scipy, and no numpy for collinear queries.
+the port's fixed rtol and iteration limit. The last tests check, each in
+a fresh interpreter, what the CLI and the root-finding paths import: no
+scipy outside `integrate`, and numpy only for `regions`, `integrate` and
+`stability --point`.
 """
 
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -124,6 +127,15 @@ def test_non_convergence_raises_like_scipy(monkeypatch):
     assert _same_as_scipy(lambda x: x - 0.3, -1.0, 1.0, 1e-15) == "RuntimeError"
 
 
+def _run_fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """`python -c code *args` in a new interpreter that imports this checkout's rc3bp."""
+    src = str(Path(rc3bp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
 def test_cli_start_up_does_not_import_scipy():
     code = "\n".join(
         [
@@ -141,15 +153,60 @@ def test_cli_start_up_does_not_import_scipy():
             "assert 'scipy.integrate' in sys.modules",
         ]
     )
-    src = str(Path(rc3bp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+_REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+# One cli_reference.json case per subcommand, and whether it needs numpy.
+_CLI_CASES = [
+    ("validate --mu=0.2 --beta1=0.5 --beta2=1.5", False),
+    ("two-body --m1=1 --m2=1 --q1=2 --q2=2 --kstar=3 --l=0.5", False),
+    ("equilibria --mu=0.1 --beta1=0.8 --beta2=1.2 --kind=triangular", False),
+    ("equilibria --mu=0.2 --beta1=-0.5 --beta2=2.0 --kind=collinear", False),
+    ("stability --mu=0.03 --beta1=0.9 --beta2=1.1", False),
+    ("critical-roots --mu=0.1 --series", False),
+    ("stability --mu=0.2 --beta1=1.0 --beta2=1.0 --point=0.5,0.5", True),
+    ("regions --figure=15 --resolution=16 --out=.bench_work/cli/figure-15-16", True),
+    ("integrate --mu=0.1 --beta1=1.0 --beta2=1.0 --state=0.1,0,0,1.2 --t-end=2 --every=0.25", True),
+]
+
+# cli.main in a new interpreter; the last stderr line says whether numpy got loaded
+_FRESH_MAIN = "\n".join(
+    [
+        "import sys",
+        "from rc3bp.cli import main",
+        "code = main(sys.argv[1:])",
+        "print('numpy' in sys.modules, file=sys.stderr)",
+        "sys.exit(code)",
+    ]
+)
+
+
+@pytest.mark.parametrize("key, needs_numpy", _CLI_CASES)
+def test_cli_subcommand_in_a_fresh_process(key, needs_numpy, tmp_path):
+    # a fresh interpreter catches a missing local import that an in-process
+    # replay can miss because another test already loaded the module
+    reference = json.loads((_REFERENCE_DIR / "cli_reference.json").read_text())
+    (tmp_path / ".bench_work" / "cli").mkdir(parents=True)
+    proc = _run_fresh(_FRESH_MAIN, *key.split(" "), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == reference[key]
+    assert proc.stderr == f"{needs_numpy}\n"
+
+
+def test_cli_unknown_figure_exits_2_in_a_fresh_process(tmp_path):
+    proc = _run_fresh(_FRESH_MAIN, "regions", "--figure=4", "--out=fig", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: unknown figure 4; choose from (5, 6, 7, 11,")
+    assert not list(tmp_path.iterdir())
 
 
 def test_collinear_path_does_not_import_numpy():
     # the package imports each public name on first use, and the collinear
-    # solver is pure Python, so collinear queries run without numpy
+    # solver, the potential, H and the triangular classification are pure
+    # Python, so they run without numpy
     code = "\n".join(
         [
             "import sys",
@@ -158,14 +215,16 @@ def test_collinear_path_does_not_import_numpy():
             "p = rc3bp.SystemParams(0.3, -0.001, 0.5)",
             "assert collinear.find_collinear(p) and collinear.critical_roots(0.3)",
             "assert rc3bp.find_collinear(rc3bp.SystemParams(0.3, 0.5, -0.1))",
+            "q = rc3bp.SystemParams(0.2, 1.2, 0.7)",
+            "assert rc3bp.potential(q, 0.3, 0.4).V > 0.0",
+            "assert rc3bp.hamiltonian(q, rc3bp.PhaseState(0.3, 0.4, 0.1, 0.2)) < 0.0",
+            "assert rc3bp.classify_triangular(q).classification.value == 'LyapunovUnstable'",
             "assert 'numpy' not in sys.modules",
             "assert all(getattr(rc3bp, name) is not None for name in rc3bp.__all__)",
             "assert 'numpy' in sys.modules",
         ]
     )
-    src = str(Path(rc3bp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rc3bp import cli, collinear, regions
+from rc3bp import _brent, cli, collinear, regions
 from rc3bp.cli import main
 from rc3bp.errors import ValidationError
 from rc3bp.params import SystemParams
@@ -163,6 +163,26 @@ def test_collinear_equilibria_exit_3_where_the_root_is_within_an_ulp_of_a_primar
     code, out, err = run_collinear(capsys, "--mu", "0.2", "--beta1=-1e300", "--beta2", "1")
     assert (code, out) == (3, "")
     assert err.startswith("numeric failure: cannot bracket a root")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibria", "--mu=0.2", "--beta1=-0.5", "--beta2=2", "--kind=collinear"],
+        ["critical-roots", "--mu=0.1234"],
+        ["regions", "--figure=11", "--resolution=8", "--out=fig"],
+    ],
+)
+def test_brent_non_convergence_exits_3(argv, capsys, tmp_path, monkeypatch):
+    # one iteration converges on no bracket: the solver's RuntimeError must
+    # reach the user as a numeric failure, not as a traceback
+    monkeypatch.setattr(_brent, "_MAXITER", 1)
+    monkeypatch.chdir(tmp_path)
+    collinear._xr1.cache_clear()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure: ") and "Failed to converge" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_collinear_equilibria_never_contradict_the_resolved_count(capsys):

@@ -1,6 +1,7 @@
 """Axis function, S-regions, root counting, and the critical roots."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from rc3bp.collinear import (
     predicted_root_count,
     resolved_root_count,
 )
-from rc3bp.errors import AtPrimary, InadmissibleParams, NotOnLimitLocus, RootNotBracketed
+from rc3bp.errors import AtPrimary, AxisOutOfRange, InadmissibleParams, NotOnLimitLocus
+from rc3bp.errors import RootNotBracketed
 from rc3bp.params import SystemParams
 from scan_oracle import scan_in_interval
 
@@ -97,6 +99,17 @@ def test_axis_derivative_matches_finite_differences():
             continue
         fd = (f_axis(p, x + h) - f_axis(p, x - h)) / (2.0 * h)
         assert f_axis_prime(p, x) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "fn, x", [(f_axis, 1e-170), (f_axis_prime, 1e-170), (f_axis_prime, 1e103), (f_axis_prime, -1e103)]
+)
+def test_axis_field_outside_the_doubles_is_a_typed_error(fn, x):
+    # at mu = 1e-200, x = 1e-170 squares and cubes its distance to primary 1
+    # below the smallest double; 1e103 cubes past the largest
+    with pytest.raises(AxisOutOfRange, match=re.escape(f"x = {x!r}")) as exc:
+        fn(SystemParams(1e-200, 1.0, 1.0), x)
+    assert exc.value.exit_code == 3
 
 
 def test_classify_region_table():
