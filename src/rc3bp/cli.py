@@ -7,6 +7,7 @@ shortest round-trip form in JSON), so identical inputs yield
 byte-identical outputs.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric or IO failure.
+JSON on stdout never holds NaN or Infinity: a non-finite result exits 3.
 
 numpy and the modules built on it (`regions`, `dynamics`, `stability`)
 are imported inside the subcommands that use them, so `validate`,
@@ -27,9 +28,9 @@ from typing import TYPE_CHECKING
 
 from . import __version__, collinear, twobody
 from .collinear import Interval
-from .errors import Rc3bpError, ValidationError
+from .errors import NumericError, Rc3bpError, ValidationError
 from .params import SystemParams
-from .triangular import classify_location, triangular_points
+from .triangular import triangular_points
 
 if TYPE_CHECKING:
     from . import regions
@@ -52,7 +53,11 @@ def _json_default(obj):
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"the result is not a finite double: {exc}") from None
+    print(text)
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -106,7 +111,7 @@ def _cmd_equilibria(args) -> int:
                 "l5": list(pair.l5),
                 "rho1": pair.rho1,
                 "rho2": pair.rho2,
-                "location": classify_location(params).value,
+                "location": pair.location.value,
             }
         )
         return 0

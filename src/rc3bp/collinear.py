@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from . import _brent
 from .errors import AtPrimary, AxisOutOfRange, InadmissibleParams, NotOnLimitLocus
 from .errors import RootNotBracketed, ValidationError
-from .params import SystemParams, _limit_line, is_admissible
+from .params import SystemParams, _limit_line, _require_folded_mu, is_admissible
 
 if TYPE_CHECKING:
     import numpy as np
@@ -314,18 +314,16 @@ def _xr1(mu: float) -> float:
 def critical_roots(mu: float) -> tuple[float, float]:
     """(x_r1, x_r2): the band-terminating roots of G(., mu).
 
-    x_r1 is bisected inside (-mu, -mu/3), or is the series for mu <= 1e-4;
+    x_r1 is Brent's root inside (-mu, -mu/3), or the series for mu <= 1e-4;
     x_r2 follows from the mirror identity x_r2(mu) = -x_r1(1-mu) and is
     confirmed to be a root inside ((1-mu)/3, 1-mu). Where 1 - mu rounds to
     1 the mirrored mass ratio is not representable, so the series is
     returned; its neglected terms are below one ulp there.
     """
-    if not (0.0 < mu <= 0.5):
-        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+    _require_folded_mu(mu)
     if 1.0 - mu == 1.0:
         return critical_roots_series(mu)
-    xr1 = _xr1(mu)
-    xr2 = -_xr1(1.0 - mu) if mu != 0.5 else -xr1
+    xr1, xr2 = _xr1(mu), -_xr1(1.0 - mu)
     if not ((1.0 - mu) / 3.0 < xr2 < 1.0 - mu):
         raise RootNotBracketed(f"x_r2 = {xr2!r} fell outside (({1.0 - mu!r})/3, {1.0 - mu!r})")
     return xr1, xr2
@@ -338,8 +336,7 @@ def critical_roots_series(mu: float) -> tuple[float, float]:
     x_r2 = 1 - (4/27)**(1/4) mu**(1/4) + 11/(36 sqrt3) mu**(1/2)
              + 67/(864 * 12**(1/4)) mu**(3/4) - (497/486) mu
     """
-    if not (0.0 < mu <= 0.5):
-        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+    _require_folded_mu(mu)
     c1, c2, c3, c4 = _XR2_C
     q = mu**0.25
     return -mu / 3.0 - (8.0 / 81.0) * mu**4, 1.0 - c1 * q + c2 * q**2 + c3 * q**3 - c4 * mu
@@ -458,11 +455,6 @@ def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCou
     beta against the curve value there. `find_in_interval` solves for
     exactly this many roots.
     """
-    region = classify_region(params)
-    if region in (BetaRegion.INADMISSIBLE, BetaRegion.AXIS_ORIGIN):
-        raise InadmissibleParams(
-            f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) is not admissible"
-        )
     prediction = predicted_root_count(params, interval)
     if prediction in (PredictedCount.EXACTLY_ONE, PredictedCount.ONE_CONDITIONAL):
         return ResolvedCount(1)
@@ -473,8 +465,8 @@ def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCou
         # excluded primary abscissa, so the open interval holds none.
         return ResolvedCount(0)
 
-    # S2 bands sit at body 1; the R'4 bands are their mirror at body 2
-    body1 = region is BetaRegion.S2
+    # S2, the only concave region with beta1 < 0, has its bands at body 1; R'4 at body 2
+    body1 = params.beta1 < 0.0
     near, free = (params.beta1, params.beta2) if body1 else (params.beta2, params.beta1)
     if interval is Interval.I2:
         edge = (band_edge_i2_s2 if body1 else band_edge_i2_r4)(params.mu, near)
@@ -482,15 +474,17 @@ def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCou
         edge = (band_edge_i1 if body1 else band_edge_i3)(params.mu, near)
     if edge is None:
         return ResolvedCount(0)
-    return _band_compare(free - edge, abs(edge), above_exists=interval is not Interval.I2)
-
-
-def _band_compare(diff: float, scale: float, above_exists: bool) -> ResolvedCount:
-    """Two roots strictly inside the band, a double on its edge, zero outside."""
-    if abs(diff) <= _BAND_EDGE_RTOL * max(1.0, scale):
+    # two roots strictly inside the band, a double on its edge, zero outside
+    depth = edge - free if interval is Interval.I2 else free - edge
+    if _on_band_edge(depth, edge):
         return ResolvedCount(1, double=True)
-    inside = diff > 0.0 if above_exists else diff < 0.0
-    return ResolvedCount(2) if inside else ResolvedCount(0)
+    return ResolvedCount(2) if depth > 0.0 else ResolvedCount(0)
+
+
+def _on_band_edge(depth, edge):
+    """Whether the free beta, `depth` into the band closed by `edge`, sits on
+    the edge: |depth| <= _BAND_EDGE_RTOL * max(1, |edge|). Floats or arrays."""
+    return (abs(depth) <= _BAND_EDGE_RTOL) | (abs(depth) <= _BAND_EDGE_RTOL * abs(edge))
 
 
 # ---------------------------------------------------------------------------

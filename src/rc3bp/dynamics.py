@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import CollisionSingularity, StepSizeUnderflow, ValidationError
+from .errors import CollisionSingularity, NumericError, StepSizeUnderflow, ValidationError
 from .params import SystemParams
 
 if TYPE_CHECKING:
@@ -71,9 +71,14 @@ class PotentialSample:
     rho2: float
 
 
+def _distances(hypot, mu: float, x, y):
+    """(rho1, rho2) to the primaries: at a point (math.hypot) or at arrays of points (np.hypot)."""
+    return hypot(x + mu, y), hypot(x - 1.0 + mu, y)
+
+
 def primary_distances(mu: float, x: float, y: float) -> tuple[float, float]:
     """(rho1, rho2) from the point to the primaries at (-mu, 0), (1-mu, 0)."""
-    return math.hypot(x + mu, y), math.hypot(x - 1.0 + mu, y)
+    return _distances(math.hypot, mu, x, y)
 
 
 def _charges(params: SystemParams) -> tuple[float, float, float]:
@@ -84,25 +89,32 @@ def _charges(params: SystemParams) -> tuple[float, float, float]:
 def potential(params: SystemParams, x: float, y: float) -> PotentialSample:
     """Evaluate V, its gradient, and its Hessian at (x, y).
 
-    Raises CollisionSingularity at a primary. Note the 2D section of the
-    3D kernel is not harmonic: Vxx + Vyy = beta1(1-mu)/rho1**3
-    + beta2 mu/rho2**3.
+    Raises ValidationError at a non-finite point, CollisionSingularity at
+    a primary, and NumericError where a power of a distance to a primary
+    overflows or underflows to zero. Note the 2D section of the 3D kernel
+    is not harmonic: Vxx + Vyy = beta1(1-mu)/rho1**3 + beta2 mu/rho2**3.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError(f"point ({x!r}, {y!r}) must be finite")
     mu, k1, k2 = _charges(params)
     dx1, dx2 = x + mu, x - 1.0 + mu
-    rho1, rho2 = math.hypot(dx1, y), math.hypot(dx2, y)
-    if rho1 == 0.0 or rho2 == 0.0:
-        raise CollisionSingularity(f"point ({x!r}, {y!r}) coincides with a primary")
+    rho1, rho2 = _require_off_primaries(mu, x, y)
 
-    r13, r23 = rho1**3, rho2**3
-    r15, r25 = rho1**5, rho2**5
+    try:
+        r13, r23 = rho1**3, rho2**3
+        r15, r25 = rho1**5, rho2**5
 
-    V = k1 / rho1 + k2 / rho2
-    Vx = -k1 * dx1 / r13 - k2 * dx2 / r23
-    Vy = -k1 * y / r13 - k2 * y / r23
-    Vxx = -k1 / r13 - k2 / r23 + 3.0 * k1 * dx1 * dx1 / r15 + 3.0 * k2 * dx2 * dx2 / r25
-    Vxy = 3.0 * k1 * dx1 * y / r15 + 3.0 * k2 * dx2 * y / r25
-    Vyy = -k1 / r13 - k2 / r23 + 3.0 * k1 * y * y / r15 + 3.0 * k2 * y * y / r25
+        V = k1 / rho1 + k2 / rho2
+        Vx = -k1 * dx1 / r13 - k2 * dx2 / r23
+        Vy = -k1 * y / r13 - k2 * y / r23
+        Vxx = -k1 / r13 - k2 / r23 + 3.0 * k1 * dx1 * dx1 / r15 + 3.0 * k2 * dx2 * dx2 / r25
+        Vxy = 3.0 * k1 * dx1 * y / r15 + 3.0 * k2 * dx2 * y / r25
+        Vyy = -k1 / r13 - k2 / r23 + 3.0 * k1 * y * y / r15 + 3.0 * k2 * y * y / r25
+    except (OverflowError, ZeroDivisionError):
+        # float ** raises on overflow; a power that underflows to 0 divides by zero
+        raise NumericError(
+            f"V is not representable at ({x!r}, {y!r}): a power of rho leaves the doubles"
+        ) from None
     return PotentialSample(V=V, Vx=Vx, Vy=Vy, Vxx=Vxx, Vxy=Vxy, Vyy=Vyy, rho1=rho1, rho2=rho2)
 
 
@@ -117,14 +129,18 @@ def omega_gradient(params: SystemParams, x: float, y: float) -> tuple[float, flo
     return x + s.Vx, y + s.Vy
 
 
-def _require_off_primaries(mu: float, x: float, y: float) -> None:
-    if 0.0 in primary_distances(mu, x, y):
+def _require_off_primaries(mu: float, x: float, y: float) -> tuple[float, float]:
+    """(rho1, rho2), or CollisionSingularity at a primary."""
+    rho = primary_distances(mu, x, y)
+    if 0.0 in rho:
         raise CollisionSingularity(f"point ({x!r}, {y!r}) coincides with a primary")
+    return rho
 
 
 def _energy(hypot, mu: float, k1: float, k2: float, x, y, px, py):
     """H at one state (hypot=math.hypot) or at arrays of states (np.hypot)."""
-    pot = k1 / hypot(x + mu, y) + k2 / hypot(x - 1.0 + mu, y)
+    rho1, rho2 = _distances(hypot, mu, x, y)
+    pot = k1 / rho1 + k2 / rho2
     return 0.5 * (px**2 + py**2) + y * px - x * py - pot
 
 
@@ -233,7 +249,6 @@ def integrate(
         method="DOP853",
         rtol=max(tol, _MIN_RTOL),
         atol=tol,
-        dense_output=sample_times is not None,
         t_eval=np.asarray(sample_times, dtype=float) if sample_times is not None else None,
         events=close_approach,
     )

@@ -26,6 +26,12 @@ def is_admissible(beta1: float, beta2: float) -> bool:
     return (beta1 - 1.0) * (beta2 - 1.0) < 1.0
 
 
+def _require_folded_mu(mu: float) -> None:
+    """ValidationError unless mu is a folded mass ratio in (0, 1/2]."""
+    if not (0.0 < mu <= 0.5):
+        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+
+
 class ForceRegime(enum.Enum):
     """Sign regime of the net force a single beta describes."""
 
@@ -155,11 +161,9 @@ def reduce(sys: PhysicalSystem) -> SystemParams:
     Bodies 1 and 2 are swapped when m2 > m1 so that mu lands in (0, 1/2],
     and the swap is recorded.
 
-    Raises ZeroThirdCharge when q3 = 0 (no sign to normalize) and
-    NonpositiveMass when a primary mass is invalid.
+    Raises ZeroThirdCharge when q3 = 0 (no sign to normalize); the
+    masses were checked when `sys` was constructed.
     """
-    if sys.m1 <= 0.0 or sys.m2 <= 0.0:
-        raise NonpositiveMass(f"primary masses must be positive, got m1={sys.m1!r}, m2={sys.m2!r}")
     if sys.q3 == 0.0:
         raise ZeroThirdCharge("q3 = 0: beta-parameters need the test particle's charge sign")
 

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import collinear
 from .collinear import Interval, brentq
+from .dynamics import _distances
 from .errors import DegenerateGamma, ValidationError
-from .stability import _BOUNDARY_ATOL, StabilityClass, _discriminant, critical_mu, gamma_mu
+from .params import _require_folded_mu, is_admissible
+from .stability import _BOUNDARY_ATOL, StabilityClass, _cos_gamma, _discriminant
+from .stability import critical_mu, gamma_mu
 
 _DEFAULT_RESOLUTION = 512
 _POLYLINE_POINTS = 1024
@@ -94,11 +97,6 @@ def _grid(x_range, y_range, resolution):
     return _centers(x_range, nx)[None, :], _centers(y_range, ny)[:, None]
 
 
-def _distances(mu: float, x, y):
-    """(rho1, rho2) from configuration-space (x, y) to the primaries."""
-    return np.hypot(x + mu, y), np.hypot(x + mu - 1.0, y)
-
-
 def _resolution(resolution) -> tuple[int, int]:
     if resolution is None:
         return (_DEFAULT_RESOLUTION, _DEFAULT_RESOLUTION)
@@ -128,7 +126,7 @@ def admissible_region_raster(
 ) -> RegionRaster:
     """(beta1, beta2) cells labeled by the strict constraint (b1-1)(b2-1) < 1."""
     b1, b2 = _grid(x_range, y_range, resolution)
-    labels = ((b1 - 1.0) * (b2 - 1.0) < 1.0).astype(np.int8)
+    labels = is_admissible(b1, b2).astype(np.int8)
     return _raster(x_range, y_range, labels, ADMISSIBLE_LEGEND, "is_admissible")
 
 
@@ -176,14 +174,14 @@ def triangular_region_raster(
         mu = 0.3 if mu is None else mu
         x_range = x_range or (-2.5, 2.5)
         y_range = y_range or (-2.5, 2.5)
-        d1, d2 = _distances(mu, *_grid(x_range, y_range, resolution))
+        d1, d2 = _distances(np.hypot, mu, *_grid(x_range, y_range, resolution))
         predicate = f"triangular_exists(rho; mu={mu!r})"
     else:
         raise ValidationError(f"space must be 'parameter' or 'configuration', got {space!r}")
 
     positive = (d1 > 0.0) & (d2 > 0.0)
     strict = (d1 + d2 > 1.0) & (np.abs(d1 - d2) < 1.0) & positive
-    admissible = (d1**3 - 1.0) * (d2**3 - 1.0) < 1.0
+    admissible = is_admissible(d1**3, d2**3)
     labels = np.zeros(strict.shape, np.int8)                # NoTriangle
     labels[strict & ~admissible] = 1                        # Inadmissible
     labels[strict & admissible] = 2                         # Exists
@@ -252,10 +250,9 @@ def collinear_region_raster(
     interval) pairs compare the free beta against the band edge, computed
     once per grid line since each edge depends on a single beta.
     """
-    if not (0.0 < mu <= 0.5):
-        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+    _require_folded_mu(mu)
     b1, b2 = _grid(x_range, y_range, resolution)
-    adm = (b1 - 1.0) * (b2 - 1.0) < 1.0
+    adm = is_admissible(b1, b2)
     labels = adm.astype(np.int8)                           # ZeroRoots until shown otherwise
     # body 2's bands are body 1's with the beta axes swapped
     if interval is Interval.I1:
@@ -304,9 +301,8 @@ def _band_edges(near: np.ndarray, edge_of) -> np.ndarray:
 def _label_band(labels, band, depth, edges):
     """TwoRoots where depth (the free beta's signed distance into the band)
     is positive, DoubleRoot on the edge."""
-    double = band & (np.abs(depth) <= collinear._BAND_EDGE_RTOL * np.maximum(1.0, np.abs(edges)))
     labels[band & (depth > 0.0)] = 3                         # TwoRoots
-    labels[double] = 4                                       # DoubleRoot, over TwoRoots
+    labels[band & collinear._on_band_edge(depth, edges)] = 4  # DoubleRoot, over TwoRoots
 
 
 def collinear_boundary_polylines(
@@ -357,10 +353,10 @@ def _triangle_stability(mu: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray
     Out-of-domain cells violate the closed triangle inequalities or the
     induced admissibility (r1^3-1)(r2^3-1) < 1.
     """
-    positive = (r1 > 0.0) & (r2 > 0.0)
+    sound = (r1 > 0.0) & (r2 > 0.0) & is_admissible(r1**3, r2**3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(positive, (1.0 - r1**2 - r2**2) / (2.0 * r1 * r2), np.nan)
-    domain = positive & (np.abs(c) <= 1.0) & ((r1**3 - 1.0) * (r2**3 - 1.0) < 1.0)
+        c = np.where(sound, _cos_gamma(r1, r2), np.nan)
+    domain = sound & (np.abs(c) <= 1.0)
     f = np.zeros(domain.shape)
     f[domain] = _discriminant(mu, 1.0 - c[domain] ** 2)      # sin^2 = 1 - cos^2
     return _classify_f_grid(domain, f)
@@ -395,7 +391,8 @@ def configuration_stability_raster(
     mu: float, x_range=(-2.5, 2.5), y_range=(-2.5, 2.5), resolution=None
 ) -> RegionRaster:
     """Restricted configuration space labeled by the stability class (figures 16-18)."""
-    labels = _triangle_stability(mu, *_distances(mu, *_grid(x_range, y_range, resolution)))
+    rho = _distances(np.hypot, mu, *_grid(x_range, y_range, resolution))
+    labels = _triangle_stability(mu, *rho)
     predicate = f"classify_triangular(rho; mu={mu!r})"
     return _raster(x_range, y_range, labels, STABILITY_LEGEND, predicate)
 
@@ -449,7 +446,7 @@ def stable_arcs(mu: float, gamma: float) -> tuple[StableArc, StableArc]:
     Circle: (x - 1/2 + mu)^2 + (y +- cos(gamma)/(2 sin(gamma)))^2
     = 1/(4 sin(gamma)^2); plus sign <-> upper arc.
     """
-    if not (0.0 < gamma < math.pi) or math.sin(gamma) == 0.0:
+    if not (0.0 < gamma < math.pi):
         raise DegenerateGamma(f"gamma = {gamma!r} degenerates the arcs; need gamma in (0, pi)")
     xc = 0.5 - mu
     offset = math.cos(gamma) / (2.0 * math.sin(gamma))
@@ -469,7 +466,6 @@ class StableEllipse:
     """
 
     gamma: float
-    rotation: float = field(default=-math.pi / 4.0)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < math.pi):
@@ -496,7 +492,7 @@ class StableEllipse:
     def to_dict(self) -> dict:
         return {
             "semi_axes": list(self.semi_axes),
-            "rotation": self.rotation,
+            "rotation": -math.pi / 4.0,
             "gamma": self.gamma,
         }
 
@@ -531,8 +527,7 @@ class StableRegionReport:
 
 def stable_region_report(mu: float) -> StableRegionReport:
     """Stable gamma set and its boundary arcs/ellipses for a mass ratio."""
-    if not (0.0 < mu <= 0.5):
-        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+    _require_folded_mu(mu)
     mu_c = critical_mu()
     if mu < mu_c:
         regime = StableRegime.FULL_BAND

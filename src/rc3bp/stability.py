@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from .dynamics import potential
 from .errors import BelowCriticalMass, NotOnTriangularLocus, ValidationError
-from .params import SystemParams, _limit_line
+from .params import SystemParams, _limit_line, _require_folded_mu
 from .triangular import triangular_exists
 
 if TYPE_CHECKING:
@@ -92,10 +92,14 @@ def quartic_eigenvalues(a: np.ndarray) -> tuple[complex, complex, complex, compl
     wxx, wyy, wxy = 1.0 + vxx, 1.0 + vyy, vxy
     p = 4.0 - wxx - wyy
     q = wxx * wyy - wxy * wxy
-    disc = cmath.sqrt(complex(p * p - 4.0 * q))
-    u_plus = (-p + disc) / 2.0
-    u_minus = (-p - disc) / 2.0
-    lp, lm = cmath.sqrt(u_plus), cmath.sqrt(u_minus)
+    return _biquadratic_roots(p, p * p - 4.0 * q)
+
+
+def _biquadratic_roots(p: float, d: float) -> tuple[complex, complex, complex, complex]:
+    """The roots of lam**4 + p lam**2 + q, given d = p**2 - 4q: lam = +-sqrt(u+-),
+    u+- = (-p +- sqrt(d))/2, with complex square roots."""
+    disc = cmath.sqrt(complex(d))
+    lp, lm = cmath.sqrt((-p + disc) / 2.0), cmath.sqrt((-p - disc) / 2.0)
     return (lp, -lp, lm, -lm)
 
 
@@ -136,9 +140,12 @@ def gamma_of(params: SystemParams) -> float:
             f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) supports no "
             "triangular point and is not on a degenerate limit line"
         )
-    d1, d2 = params.delta1, params.delta2
-    c = (1.0 - d1 * d1 - d2 * d2) / (2.0 * d1 * d2)
-    return math.acos(min(1.0, max(-1.0, c)))
+    return math.acos(min(1.0, max(-1.0, _cos_gamma(params.delta1, params.delta2))))
+
+
+def _cos_gamma(r1, r2):
+    """cos gamma = (1 - r1**2 - r2**2)/(2 r1 r2) of the triangle (r1, r2, 1); scalars or arrays."""
+    return (1.0 - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
 
 
 def _discriminant(mu, sin2):
@@ -148,8 +155,7 @@ def _discriminant(mu, sin2):
 
 def f_stability(mu: float, gamma: float) -> float:
     """F(mu, gamma) = 1 - 36 mu (1-mu) sin(gamma)**2."""
-    if not (0.0 < mu <= 0.5):
-        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+    _require_folded_mu(mu)
     if not (0.0 <= gamma <= math.pi):
         raise ValidationError(f"gamma must lie in [0, pi], got {gamma!r}")
     return _discriminant(mu, math.sin(gamma) ** 2)
@@ -165,21 +171,12 @@ def gamma_mu(mu: float) -> float:
 
     F(mu, .) vanishes exactly at gamma_mu and pi - gamma_mu.
     """
-    if not (0.0 < mu <= 0.5):
-        raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+    _require_folded_mu(mu)
     if mu <= critical_mu():
         raise BelowCriticalMass(
             f"mu = {mu!r} is below the critical ratio {critical_mu()!r}; F never vanishes"
         )
     return math.asin(1.0 / (6.0 * math.sqrt(mu * (1.0 - mu))))
-
-
-def _closed_form_eigenvalues(f_val: float) -> tuple[complex, complex, complex, complex]:
-    """lam = +-sqrt((-1 +- sqrt(F))/2) with complex square roots."""
-    s = cmath.sqrt(complex(f_val))
-    lp = cmath.sqrt((-1.0 + s) / 2.0)
-    lm = cmath.sqrt((-1.0 - s) / 2.0)
-    return (lp, -lp, lm, -lm)
 
 
 def classify_triangular(params: SystemParams) -> StabilityReport:
@@ -203,6 +200,6 @@ def classify_triangular(params: SystemParams) -> StabilityReport:
             gamma,
             StabilityClass.LINEARLY_UNSTABLE_F_ONE,
         )
-    eig = _closed_form_eigenvalues(f_val)
+    eig = _biquadratic_roots(1.0, f_val)     # p = 1 and d = 1 - 4q = F
     cls = StabilityClass.LYAPUNOV_UNSTABLE if f_val < 0.0 else StabilityClass.LINEARLY_STABLE
     return StabilityReport(eig, f_val, gamma, cls)

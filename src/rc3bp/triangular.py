@@ -68,10 +68,7 @@ def triangular_exists(params: SystemParams) -> bool:
 
 def triangular_points(params: SystemParams) -> TriangularPair:
     """Compute the pair, or raise NoTriangularSolution."""
-    if not triangular_exists(params):
-        raise NoTriangularSolution(
-            f"no triangular equilibria for beta1={params.beta1!r}, beta2={params.beta2!r}"
-        )
+    location = classify_location(params)
     d1, d2 = params.delta1**2, params.delta2**2  # beta**(2/3)
     xL = -params.mu + 0.5 * (d1 - d2 + 1.0)
     radicand = 2.0 * (d1 + d2) - (d1 - d2) ** 2 - 1.0
@@ -81,7 +78,7 @@ def triangular_points(params: SystemParams) -> TriangularPair:
         yL=yL,
         rho1=params.delta1,
         rho2=params.delta2,
-        location=classify_location(params),
+        location=location,
     )
 
 

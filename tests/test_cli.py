@@ -185,6 +185,28 @@ def test_brent_non_convergence_exits_3(argv, capsys, tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # rho**5 overflows at 1e100 and underflows to 0 at 1e-70 from primary 1
+        (["stability", "--mu", "0.2", "--beta1", "1", "--beta2", "1", "--point", "1e100,0"],
+         "V is not representable at (1e+100, 0.0)"),
+        (["stability", "--mu", "0.2", "--beta1", "1", "--beta2", "1", "--point=-0.2,1e-70"],
+         "V is not representable at (-0.2, 1e-70)"),
+        # C = G m1 m2 overflows to inf, and mu_red to inf/inf = nan
+        (["two-body", "--m1", "1e308", "--m2", "1e308", "--q1", "0", "--q2", "0"],
+         "not a finite double"),
+        # r0 = |C| / kstar overflows
+        (["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
+          "--kstar", "1e-320", "--l", "1"], "not a finite double"),
+    ],
+)
+def test_results_outside_the_doubles_exit_3_with_nothing_on_stdout(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure: ") and message in err
+
+
 def test_collinear_equilibria_never_contradict_the_resolved_count(capsys):
     # the second I2 root lies about 1e-40 from primary 2, below one ulp
     code, out, _ = run_collinear(capsys, "--mu", "1e-80", "--beta1", "0.5", "--beta2=-0.5")
@@ -233,6 +255,8 @@ def test_critical_roots_where_the_bracket_sign_is_noise(capsys):
         ["validate", "--mu", "1.2", "--beta1", "1", "--beta2", "1"],
         ["validate", "--mu", "0.2", "--beta1", "inf", "--beta2", "1"],
         ["stability", "--mu", "0", "--beta1", "1", "--beta2", "1"],
+        ["stability", "--mu", "0.2", "--beta1", "1", "--beta2", "1", "--point", "nan,0"],
+        ["stability", "--mu", "0.2", "--beta1", "1", "--beta2", "1", "--point", "inf,0"],
         ["two-body", "--m1", "0", "--m2", "1", "--q1", "1", "--q2", "1"],
         ["two-body", "--m1", "1", "--m2", "1", "--q1", "1", "--q2", "1", "--G", "0"],
         ["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
@@ -298,6 +322,14 @@ def test_figure_csvs_match_the_recorded_digests():
         text = "".join(cli._raster_csv_lines(raster))
         got[f"figure-{figure:02d}.csv"] = hashlib.sha256(text.encode()).hexdigest()
     assert got == expected
+
+
+def test_reproduce_all_manifest_digest_at_resolution_128(tmp_path):
+    # pins every figure's JSON bytes too (polylines, critical roots,
+    # stable-region geometry), which the CSV digests above do not cover
+    cli.reproduce_all(str(tmp_path), resolution=128)
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == "e09191d174b5116eee4e3723b5556fe192f549237ed8159827af9d463b7eafdd"
 
 
 def test_regions_writes_csv_and_json(tmp_path, capsys):

@@ -301,6 +301,20 @@ def test_finder_errors_where_the_root_is_closer_than_an_ulp_to_a_primary():
         find_in_interval(SystemParams(1e-80, 0.5, -0.5), Interval.I2)
 
 
+@pytest.mark.parametrize("edge", [0.25, -0.5, 1.0, -1.0, 3.0, -1e10])
+def test_on_band_edge_boundary_matches_the_max_form(edge):
+    # the tolerance is relative to max(1, |edge|): one ulp inside it is a
+    # double root, one ulp outside is not
+    tol = collinear._BAND_EDGE_RTOL * max(1.0, abs(edge))
+    depths = [math.nextafter(tol, 0.0), tol, math.nextafter(tol, math.inf)]
+    depths += [-d for d in depths]
+    expected = [abs(d) <= collinear._BAND_EDGE_RTOL * max(1.0, abs(edge)) for d in depths]
+    assert expected == [True, True, False] * 2
+    assert [bool(collinear._on_band_edge(d, edge)) for d in depths] == expected
+    got = collinear._on_band_edge(np.array(depths), np.full(len(depths), edge))
+    assert got.tolist() == expected
+
+
 def test_band_edge_none_when_band_is_empty():
     # middle-interval bands die out once the tangency leaves (x_r, boundary)
     assert band_edge_i2_s2(0.2, -0.5) is None
