@@ -7,7 +7,9 @@ shortest round-trip form in JSON), so identical inputs yield
 byte-identical outputs.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric or IO failure.
-JSON on stdout never holds NaN or Infinity: a non-finite result exits 3.
+No JSON, on stdout or in a figure file or manifest, holds NaN or
+Infinity: a non-finite result exits 3, and a figure's JSON is encoded
+before either of its files is opened.
 
 numpy and the modules built on it (`regions`, `dynamics`, `stability`)
 are imported inside the subcommands that use them, so `validate`,
@@ -52,12 +54,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
-def _emit_json(payload: dict) -> None:
+def _json_text(payload: dict) -> str:
+    """Sorted, indented JSON; NumericError where a value is not a finite double."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"the result is not a finite double: {exc}") from None
-    print(text)
+
+
+def _emit_json(payload: dict) -> None:
+    print(_json_text(payload))
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -181,17 +187,18 @@ def _raster_csv_lines(raster: regions.RegionRaster):
 
 
 def _write_figure(dataset: regions.FigureDataset, csv_path: str, json_path: str) -> None:
+    meta = _json_text(
+        {
+            "figure": dataset.figure,
+            "parameters": dataset.parameters,
+            "legend": list(dataset.raster.legend),
+            "curves": dataset.curves,
+        }
+    )
     with open(csv_path, "w", newline="\n") as fh:
         fh.writelines(_raster_csv_lines(dataset.raster))
-    meta = {
-        "figure": dataset.figure,
-        "parameters": dataset.parameters,
-        "legend": list(dataset.raster.legend),
-        "curves": dataset.curves,
-    }
     with open(json_path, "w", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(meta + "\n")
 
 
 def _cmd_regions(args) -> int:
@@ -281,8 +288,7 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(_json_text(manifest) + "\n")
     return manifest
 
 

@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING
 
 from . import _brent
 from .errors import AtPrimary, AxisOutOfRange, InadmissibleParams, NotOnLimitLocus
-from .errors import RootNotBracketed, ValidationError
-from .params import SystemParams, _limit_line, _require_folded_mu, is_admissible
+from .errors import RootNotBracketed
+from .params import SystemParams, _limit_line, _require_folded_mu, _require_mu, is_admissible
 
 if TYPE_CHECKING:
     import numpy as np
@@ -301,8 +301,7 @@ def _xr1(mu: float) -> float:
     so a sign change is guaranteed; it is the only one (the tests confirm
     that with a fine scan over mu).
     """
-    if not (0.0 < mu < 1.0):
-        raise ValidationError(f"mu must lie in (0, 1), got {mu!r}")
+    _require_mu(mu)
     if mu <= _XR1_SERIES_MU:
         return critical_roots_series(mu)[0]
     a, b = -mu, -mu / 3.0
@@ -361,36 +360,22 @@ def _critical_gap(m_near: float, m_far: float) -> float:
 
 # Each concave (region, interval) pair admits 0, 2, or one double root.
 # The tangency curve (beta1*(x*), beta2*(x*)) over the relevant x* range
-# is inverted in one beta (both beta*'s are strictly monotone there);
-# comparing the other beta against its curve value decides the count.
+# is inverted in one beta (both beta*'s are strictly monotone there) by
+# the roots' own `_bracket` and `_solve`, to relative precision at any
+# scale; comparing the other beta against its curve value decides the count.
 # Body 2's bands are body 1's with the masses swapped.
-
-
-def _invert_increasing(fn, target: float, lo: float, hi: float | None) -> float | None:
-    """Solve fn(s) = target for increasing fn on [lo, hi); doubling search if hi is None.
-
-    None when the target is not bracketed, including a doubling search
-    that runs out of finite doubles.
-    """
-    if hi is None:
-        hi = max(1.0, lo * 2.0 + 1.0)
-        while fn(hi) < target:
-            hi *= 2.0
-            if math.isinf(hi):
-                return None
-    flo, fhi = fn(lo) - target, fn(hi) - target
-    if not (flo <= 0.0 <= fhi):     # also rejects inf - inf at an infinite target
-        return None
-    if flo == 0.0:
-        return lo
-    return brentq(lambda s: fn(s) - target, lo, hi, xtol=1e-15)
 
 
 def _outer_band_edge(m_near: float, m_far: float, beta_near: float, band: str) -> float:
     """The far beta closing the band beyond the near body (see band_edge_i1)."""
-    s_hat = _invert_increasing(lambda s: _near_star(s, m_near, m_far), -beta_near, 0.0, None)
-    if s_hat is None:
+    # beta* takes each value in [0, inf) once; the search toward inf would overflow s**3
+    if not -math.inf < beta_near <= 0.0:
         raise RootNotBracketed(f"the {band} tangency curve does not reach beta* = {-beta_near!r}")
+
+    def g(s: float) -> float:
+        return _near_star(s, m_near, m_far) + beta_near
+
+    s_hat = _solve(g, *_bracket(g, (0.0, -1.0), (math.inf, 1.0), 1))
     edge = _far_star(s_hat, m_far)
     if not math.isfinite(edge):
         raise RootNotBracketed(f"the {band} band edge at beta = {beta_near!r} overflows")
@@ -398,12 +383,21 @@ def _outer_band_edge(m_near: float, m_far: float, beta_near: float, band: str) -
 
 
 def _middle_band_edge(m_near: float, m_far: float, beta_near: float) -> float | None:
-    """The far beta closing the band between the primaries, or None (see band_edge_i2_s2)."""
-    t_hat = _invert_increasing(
-        lambda t: -_near_star(-t, m_near, m_far), -beta_near, 0.0, 2.0 * m_far / 3.0
-    )
-    if t_hat is None or t_hat >= _critical_gap(m_near, m_far):
+    """The far beta closing the band between the primaries, or None (see band_edge_i2_s2).
+
+    The curve's own range, which ends at 2 m_far/3 past the critical gap,
+    is tested first: it saves the gap's root solve on most empty bands.
+    """
+
+    def g(t: float) -> float:
+        return beta_near - _near_star(-t, m_near, m_far)
+
+    if not beta_near <= 0.0 < g(2.0 * m_far / 3.0):
         return None
+    gap = _critical_gap(m_near, m_far)
+    if not g(gap) > 0.0:
+        return None
+    t_hat = _solve(g, *_bracket(g, (0.0, -1.0), (gap, 1.0), 1))
     return _far_star(-t_hat, m_far)
 
 

@@ -26,6 +26,12 @@ def is_admissible(beta1: float, beta2: float) -> bool:
     return (beta1 - 1.0) * (beta2 - 1.0) < 1.0
 
 
+def _require_mu(mu: float) -> None:
+    """ValidationError unless mu is a mass ratio in (0, 1)."""
+    if not (0.0 < mu < 1.0):
+        raise ValidationError(f"mu must lie in (0, 1), got {mu!r}")
+
+
 def _require_folded_mu(mu: float) -> None:
     """ValidationError unless mu is a folded mass ratio in (0, 1/2]."""
     if not (0.0 < mu <= 0.5):
@@ -73,8 +79,7 @@ class SystemParams:
     swapped: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.mu < 1.0):
-            raise ValidationError(f"mu must lie in (0, 1), got {self.mu!r}")
+        _require_mu(self.mu)
         if not (math.isfinite(self.beta1) and math.isfinite(self.beta2)):
             raise ValidationError("beta parameters must be finite")
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import collinear
-from .collinear import Interval, brentq
+from .collinear import Interval
 from .dynamics import _distances
 from .errors import DegenerateGamma, ValidationError
-from .params import _require_folded_mu, is_admissible
+from .params import _require_folded_mu, _require_mu, is_admissible
 from .stability import _BOUNDARY_ATOL, StabilityClass, _cos_gamma, _discriminant
 from .stability import critical_mu, gamma_mu
 
@@ -172,6 +172,7 @@ def triangular_region_raster(
         predicate = "triangular_exists(delta)"
     elif space == "configuration":
         mu = 0.3 if mu is None else mu
+        _require_mu(mu)
         x_range = x_range or (-2.5, 2.5)
         y_range = y_range or (-2.5, 2.5)
         d1, d2 = _distances(np.hypot, mu, *_grid(x_range, y_range, resolution))
@@ -190,11 +191,10 @@ def triangular_region_raster(
 
 def _config_lens_bounds() -> tuple[float, float]:
     """rho1 range of the admissibility oval inside |rho1 - rho2| <= 1."""
-    lo = brentq(
+    lo = collinear._solve(
         lambda r: (r**3 - 1.0) * ((r + 1.0) ** 3 - 1.0) - 1.0,
-        np.nextafter(1.0, 2.0),
+        math.nextafter(1.0, 2.0),
         2.0 ** (1.0 / 3.0),
-        xtol=1e-15,
     )
     return lo, lo + 1.0
 
@@ -221,6 +221,7 @@ def triangular_boundary_polylines(
         return {k: _clip_window(v, x_range, y_range) for k, v in curves.items()}
     if space == "configuration":
         mu = 0.3 if mu is None else mu
+        _require_mu(mu)
         x_range = x_range or (-2.5, 2.5)
         y_range = y_range or (-2.5, 2.5)
         r_lo, r_hi = _config_lens_bounds()

@@ -16,8 +16,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveMass, NonpositiveRadius, NotRepulsive, ZeroAngularMomentum
-from .errors import ValidationError
+from .errors import NonpositiveMass, NonpositiveRadius, NotRepulsive, NumericError
+from .errors import ValidationError, ZeroAngularMomentum
 
 # Relative tolerance for treating the radial-momentum radicand as zero at
 # the turning point; pure roundoff in k* - V_eff(rho*) must not flip the
@@ -43,6 +43,10 @@ class TwoBodyConfig:
     k: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("m1", "m2", "q1", "q2", "G", "k"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.m1 <= 0.0 or self.m2 <= 0.0:
             raise NonpositiveMass(f"masses must be positive, got m1={self.m1!r}, m2={self.m2!r}")
         if self.G <= 0.0 or self.k <= 0.0:
@@ -113,7 +117,11 @@ def hyperbolic_orbit(cfg: TwoBodyConfig, k_star: float, l: float) -> HyperbolicO
     """Closed-form scattering orbit for C < 0, energy k* > 0, momentum l != 0.
 
     theta' is fixed to 0: the turning point sits on the positive x-axis.
+    NumericError where r0 leaves the doubles or e rounds to 1, so that the
+    orbit is no hyperbola in doubles.
     """
+    if not (math.isfinite(k_star) and math.isfinite(l)):
+        raise ValidationError(f"k_star and l must be finite, got {k_star!r} and {l!r}")
     C = cfg.C
     if C >= 0.0:
         raise NotRepulsive(f"C = {C!r} >= 0: hyperbolic repulsive orbit undefined")
@@ -124,8 +132,15 @@ def hyperbolic_orbit(cfg: TwoBodyConfig, k_star: float, l: float) -> HyperbolicO
 
     mu_red = cfg.mu_red
     c = mu_red * abs(C) / (l * l)
-    e = math.sqrt(1.0 + 2.0 * l * l * k_star / (mu_red * C * C))
     r0 = abs(C) / k_star
+    if not math.isfinite(r0):
+        raise NumericError(f"r0 = |C|/k_star = {r0!r} is not a finite double")
+    e = math.sqrt(1.0 + 2.0 * l * l * k_star / (mu_red * C * C))
+    if e == 1.0:
+        raise NumericError(
+            f"e rounds to 1 at k_star = {k_star!r}, l = {l!r}: 2 l**2 k*/(mu_red C**2) is "
+            "below half an ulp of 1"
+        )
     rho_star = (abs(C) / (2.0 * k_star)) * (1.0 + e)
     theta_e = math.acos(1.0 / e)
     return HyperbolicOrbit(c=c, e=e, theta_prime=0.0, theta_e=theta_e, r0=r0, rho_star=rho_star)

@@ -165,6 +165,18 @@ def test_collinear_equilibria_exit_3_where_the_root_is_within_an_ulp_of_a_primar
     assert err.startswith("numeric failure: cannot bracket a root")
 
 
+@pytest.mark.parametrize("beta2, i1_roots", [("1.2", 0), ("1.5", 2)])
+def test_collinear_equilibria_at_tiny_mu_and_beta(beta2, i1_roots, capsys):
+    # the S2/I1 band edge is 1.389 here, its tangency 3e-16 beyond primary 1
+    code, out, _ = run_collinear(
+        capsys, "--mu", "1.1940565215701757e-15", "--beta1=-1.4825432021539882e-47",
+        "--beta2", beta2,
+    )
+    assert code == 0
+    intervals = [r["interval"] for r in json.loads(out)["roots"]]
+    assert intervals == ["I1"] * i1_roots + ["I3"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -199,6 +211,9 @@ def test_brent_non_convergence_exits_3(argv, capsys, tmp_path, monkeypatch):
         # r0 = |C| / kstar overflows
         (["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
           "--kstar", "1e-320", "--l", "1"], "not a finite double"),
+        # e = sqrt(1 + 4.4e-21) rounds to 1: no hyperbola in doubles
+        (["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
+          "--kstar", "1e-20", "--l", "1"], "e rounds to 1"),
     ],
 )
 def test_results_outside_the_doubles_exit_3_with_nothing_on_stdout(argv, message, capsys):
@@ -280,6 +295,16 @@ def test_critical_roots_where_the_bracket_sign_is_noise(capsys):
          "--state", "0.3,0.8,-0.8,0.3", "--t-end", "1", "--every", "inf"],
         ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
          "--state", "0.3,0.8,-0.8,0.3", "--t-end=-1", "--every", "0.1"],
+        # non-finite two-body inputs and a figure-7 mass ratio outside (0, 1)
+        ["two-body", "--m1", "nan", "--m2", "1", "--q1", "1", "--q2", "1"],
+        ["two-body", "--m1", "1", "--m2", "1", "--q1", "nan", "--q2", "1"],
+        ["two-body", "--m1", "1", "--m2", "1", "--q1", "1", "--q2", "1", "--G", "inf"],
+        ["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
+         "--kstar", "nan", "--l", "1"],
+        ["regions", "--figure", "7", "--mu", "nan", "--resolution", "8", "--out", "unused"],
+        ["regions", "--figure", "7", "--mu", "inf", "--resolution", "8", "--out", "unused"],
+        ["regions", "--figure", "7", "--mu=-1", "--resolution", "8", "--out", "unused"],
+        ["regions", "--figure", "7", "--mu", "5", "--resolution", "8", "--out", "unused"],
     ],
 )
 def test_invalid_input_exits_two(argv, capsys, tmp_path, monkeypatch):
@@ -372,6 +397,23 @@ def test_raster_csv_rectangular_keeps_axes_apart():
     raster = regions.admissible_region_raster(resolution=(7, 5))
     assert raster.labels.shape == (5, 7)
     assert "".join(cli._raster_csv_lines(raster)) == _reference_csv(raster)
+
+
+def test_figure_json_that_is_not_finite_exits_3_before_writing(tmp_path, monkeypatch, capsys):
+    # the figure JSON is encoded as strictly as stdout, before any file opens
+    real = regions.figure_dataset
+
+    def with_nan(*args, **kwargs):
+        dataset = real(*args, **kwargs)
+        dataset.curves["critical_mu"] = math.nan
+        return dataset
+
+    monkeypatch.setattr(regions, "figure_dataset", with_nan)
+    code, out, err = run(
+        capsys, "regions", "--figure", "5", "--resolution", "8", "--out", str(tmp_path / "f")
+    )
+    assert (code, out) == (3, "") and "not a finite double" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_regions_io_failure_exits_three(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rc3bp import collinear
+from rc3bp import _brent, collinear
 from rc3bp.collinear import (
     BetaRegion,
     Interval,
@@ -319,6 +319,26 @@ def test_band_edge_none_when_band_is_empty():
     # middle-interval bands die out once the tangency leaves (x_r, boundary)
     assert band_edge_i2_s2(0.2, -0.5) is None
     assert band_edge_i2_r4(0.2, -0.5) is None
+
+
+@pytest.mark.parametrize("mu", [0.01, 0.125, 0.2, 0.3, 0.5])
+def test_band_edge_none_at_the_end_of_the_tangency_curve(mu):
+    # the curve's last value, 2 m_far/3 from the near body, lies past the
+    # critical root, where the band is already empty
+    end = collinear._near_star(-2.0 * mu / 3.0, 1.0 - mu, mu)
+    assert band_edge_i2_s2(mu, end) is None
+    end = collinear._near_star(-2.0 * (1.0 - mu) / 3.0, mu, 1.0 - mu)
+    assert band_edge_i2_r4(mu, end) is None
+
+
+def test_band_edges_need_few_brent_iterations(monkeypatch):
+    # an absolute xtol took 97-99 of Brent's 100 iterations on this draw's
+    # I2 band; the solves in relative precision fit in 20
+    monkeypatch.setattr(_brent, "_MAXITER", 20)
+    collinear._xr1.cache_clear()
+    p = SystemParams(6.39e-174, 6.87e220, -4.03e132)
+    counts = [resolved_root_count(p, iv) for iv in Interval]
+    assert counts == [ResolvedCount(1), ResolvedCount(0), ResolvedCount(2)]
 
 
 @pytest.mark.parametrize(

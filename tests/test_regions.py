@@ -13,7 +13,7 @@ from rc3bp.collinear import (
     f_axis_prime,
     resolved_root_count,
 )
-from rc3bp.errors import DegenerateGamma
+from rc3bp.errors import DegenerateGamma, ValidationError
 from rc3bp.params import SystemParams, is_admissible
 from rc3bp.regions import (
     FIGURES,
@@ -194,6 +194,14 @@ def test_collinear_polylines_are_double_roots():
                 )
                 scale = max(1.0, abs(b1), abs(b2))
                 assert abs(f_axis(p, x_star)) < 1e-9 * scale, (iv, name, b1, b2)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -1.0, 0.0, 1.0, 5.0])
+def test_configuration_space_validates_mu(mu):
+    with pytest.raises(ValidationError, match="mu must lie in"):
+        triangular_region_raster("configuration", mu=mu, resolution=8)
+    with pytest.raises(ValidationError, match="mu must lie in"):
+        triangular_boundary_polylines("configuration", mu=mu)
 
 
 def test_collinear_raster_validates_mu():

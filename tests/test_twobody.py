@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rc3bp.errors import NonpositiveRadius, NotRepulsive, ZeroAngularMomentum
+from rc3bp.errors import NonpositiveRadius, NotRepulsive, NumericError, ValidationError
+from rc3bp.errors import ZeroAngularMomentum
 from rc3bp.twobody import (
     OrbitClass,
     TwoBodyConfig,
@@ -108,3 +109,27 @@ def test_orbit_rejects_bad_inputs():
         effective_potential(0.0, 1.0, 0.5, -1.0)
     with pytest.raises(ValueError):
         TwoBodyConfig(0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fields", [(math.nan, 1.0, 1.0, 1.0), (1.0, 1.0, math.inf, 1.0), (1.0, 1.0, 1.0, 1.0, math.nan)]
+)
+def test_config_rejects_non_finite_fields(fields):
+    with pytest.raises(ValidationError, match="must be finite"):
+        TwoBodyConfig(*fields)
+
+
+def test_orbit_rejects_non_finite_arguments():
+    repulsive = TwoBodyConfig(1.0, 1.0, 2.0, 1.0)
+    for k_star, l in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            hyperbolic_orbit(repulsive, k_star, l)
+
+
+def test_orbit_that_is_no_hyperbola_in_doubles_is_a_numeric_error():
+    # 2 l**2 k*/(mu_red C**2) = 4.4e-21 leaves e = 1; 3/1e-320 leaves r0 = inf
+    repulsive = TwoBodyConfig(1.0, 1.0, 2.0, 2.0)
+    with pytest.raises(NumericError, match="e rounds to 1"):
+        hyperbolic_orbit(repulsive, 1e-20, 1.0)
+    with pytest.raises(NumericError, match="r0"):
+        hyperbolic_orbit(repulsive, 1e-320, 1.0)
