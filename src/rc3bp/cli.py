@@ -224,6 +224,10 @@ def _cmd_integrate(args) -> int:
                 f"--every and --t-end must be positive and finite, got {args.every!r} and "
                 f"{args.t_end!r}"
             )
+        if not args.t_end / args.every < math.inf:
+            raise ValidationError(
+                f"--t-end / --every = {args.t_end!r} / {args.every!r} overflows the sample count"
+            )
         n = math.floor(args.t_end / args.every + 1e-9)
         times = [i * args.every for i in range(n + 1)]
         if times[-1] < args.t_end - 1e-12 * max(1.0, args.t_end):

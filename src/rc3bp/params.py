@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import NonpositiveMass, ValidationError, ZeroThirdCharge
 
@@ -30,6 +30,20 @@ def _require_mu(mu: float) -> None:
     """ValidationError unless mu is a mass ratio in (0, 1)."""
     if not (0.0 < mu < 1.0):
         raise ValidationError(f"mu must lie in (0, 1), got {mu!r}")
+
+
+def _require_fields(system) -> None:
+    """ValidationError naming the first non-finite field of the dataclass `system`,
+    then the first of m1, m2, G, k that is not positive (NonpositiveMass for a mass)."""
+    for field in fields(system):
+        value = getattr(system, field.name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{field.name} must be finite, got {value!r}")
+    for name in ("m1", "m2", "G", "k"):
+        value = getattr(system, name)
+        if not value > 0.0:
+            error = NonpositiveMass if name.startswith("m") else ValidationError
+            raise error(f"{name} must be positive, got {value!r}")
 
 
 def _require_folded_mu(mu: float) -> None:
@@ -144,12 +158,9 @@ class PhysicalSystem:
     k: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.m1 <= 0.0 or self.m2 <= 0.0:
-            raise NonpositiveMass(f"primary masses must be positive, got m1={self.m1!r}, m2={self.m2!r}")
+        _require_fields(self)
         if self.m3 < 0.0:
             raise NonpositiveMass(f"test-particle mass must be nonnegative, got m3={self.m3!r}")
-        if self.G <= 0.0 or self.k <= 0.0:
-            raise ValidationError("G and k must be positive")
 
     @property
     def c12(self) -> float:

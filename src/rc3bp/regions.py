@@ -155,6 +155,18 @@ def admissible_boundary_polylines(
 # triangular existence (figures 6 and 7)
 
 
+def _triangular_space(space: str, mu: float | None, x_range, y_range):
+    """(mu, x_range, y_range) with the defaults of figure 6 (parameter space,
+    no mu) or figure 7 (configuration space) filled in."""
+    if space == "parameter":
+        return mu, x_range or (0.0, 3.0), y_range or (0.0, 3.0)
+    if space == "configuration":
+        mu = FIGURE_DEFAULT_MU[7] if mu is None else mu
+        _require_mu(mu)
+        return mu, x_range or (-2.5, 2.5), y_range or (-2.5, 2.5)
+    raise ValidationError(f"space must be 'parameter' or 'configuration', got {space!r}")
+
+
 def triangular_region_raster(
     space: str, mu: float | None = None, x_range=None, y_range=None, resolution=None
 ) -> RegionRaster:
@@ -165,20 +177,13 @@ def triangular_region_raster(
     failed strict triangle inequality, `Inadmissible` a sound triangle
     whose betas violate admissibility.
     """
+    mu, x_range, y_range = _triangular_space(space, mu, x_range, y_range)
+    d1, d2 = _grid(x_range, y_range, resolution)
     if space == "parameter":
-        x_range = x_range or (0.0, 3.0)
-        y_range = y_range or (0.0, 3.0)
-        d1, d2 = _grid(x_range, y_range, resolution)
         predicate = "triangular_exists(delta)"
-    elif space == "configuration":
-        mu = 0.3 if mu is None else mu
-        _require_mu(mu)
-        x_range = x_range or (-2.5, 2.5)
-        y_range = y_range or (-2.5, 2.5)
-        d1, d2 = _distances(np.hypot, mu, *_grid(x_range, y_range, resolution))
-        predicate = f"triangular_exists(rho; mu={mu!r})"
     else:
-        raise ValidationError(f"space must be 'parameter' or 'configuration', got {space!r}")
+        d1, d2 = _distances(np.hypot, mu, d1, d2)
+        predicate = f"triangular_exists(rho; mu={mu!r})"
 
     positive = (d1 > 0.0) & (d2 > 0.0)
     strict = (d1 + d2 > 1.0) & (np.abs(d1 - d2) < 1.0) & positive
@@ -206,36 +211,26 @@ def triangular_boundary_polylines(
     y_range=None,
     n: int = _POLYLINE_POINTS,
 ) -> dict[str, np.ndarray]:
+    mu, x_range, y_range = _triangular_space(space, mu, x_range, y_range)
     if space == "parameter":
-        x_range = x_range or (0.0, 3.0)
-        y_range = y_range or (0.0, 3.0)
         t = np.linspace(x_range[0], x_range[1], n)
         d1 = np.linspace(np.nextafter(1.0, 2.0), x_range[1], n)
-        adm = np.column_stack([d1, np.cbrt(1.0 + 1.0 / (d1**3 - 1.0))])
         curves = {
             "delta2_eq_delta1_plus_1": np.column_stack([t, t + 1.0]),
             "delta2_eq_delta1_minus_1": np.column_stack([t, t - 1.0]),
             "delta2_eq_1_minus_delta1": np.column_stack([t, 1.0 - t]),
-            "admissibility": adm,
+            "admissibility": np.column_stack([d1, np.cbrt(1.0 + 1.0 / (d1**3 - 1.0))]),
         }
-        return {k: _clip_window(v, x_range, y_range) for k, v in curves.items()}
-    if space == "configuration":
-        mu = 0.3 if mu is None else mu
-        _require_mu(mu)
-        x_range = x_range or (-2.5, 2.5)
-        y_range = y_range or (-2.5, 2.5)
-        r_lo, r_hi = _config_lens_bounds()
-        r1 = np.linspace(r_lo, r_hi, n)
+    else:
+        r1 = np.linspace(*_config_lens_bounds(), n)
         r2 = np.cbrt(1.0 + 1.0 / (r1**3 - 1.0))
         x = (r1**2 - r2**2 + 1.0) / 2.0 - mu
         y = np.sqrt(np.maximum(r1**2 - (x + mu) ** 2, 0.0))
-        upper = np.column_stack([x, y])
-        lower = np.column_stack([x, -y])
-        return {
-            "admissibility_upper": _clip_window(upper, x_range, y_range),
-            "admissibility_lower": _clip_window(lower, x_range, y_range),
+        curves = {
+            "admissibility_upper": np.column_stack([x, y]),
+            "admissibility_lower": np.column_stack([x, -y]),
         }
-    raise ValidationError(f"space must be 'parameter' or 'configuration', got {space!r}")
+    return {k: _clip_window(v, x_range, y_range) for k, v in curves.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -249,61 +244,53 @@ def collinear_region_raster(
 
     The simple regions are labeled directly; the concave (region,
     interval) pairs compare the free beta against the band edge, computed
-    once per grid line since each edge depends on a single beta.
+    once per grid line since each edge depends on the near body's beta.
     """
     _require_folded_mu(mu)
     b1, b2 = _grid(x_range, y_range, resolution)
+    # (near beta, free beta, edge) per band: body 2's are body 1's with the beta axes
+    # swapped. Looked up per call, so that wrappers put on `collinear` see every edge.
+    bands = {
+        Interval.I1: [(b1, b2, collinear.band_edge_i1)],
+        Interval.I2: [(b1, b2, collinear.band_edge_i2_s2), (b2, b1, collinear.band_edge_i2_r4)],
+        Interval.I3: [(b2, b1, collinear.band_edge_i3)],
+    }.get(interval)
+    if bands is None:
+        raise ValidationError(f"unknown interval {interval!r}")
+    middle = interval is Interval.I2
     adm = is_admissible(b1, b2)
     labels = adm.astype(np.int8)                           # ZeroRoots until shown otherwise
-    # body 2's bands are body 1's with the beta axes swapped
-    if interval is Interval.I1:
-        _label_outer(labels, adm, b1, b2, lambda b: collinear.band_edge_i1(mu, b))
-    elif interval is Interval.I3:
-        _label_outer(labels, adm, b2, b1, lambda b: collinear.band_edge_i3(mu, b))
-    elif interval is Interval.I2:
-        _label_middle(labels, adm, b1, b2, lambda b: collinear.band_edge_i2_s2(mu, b))
-        _label_middle(labels, adm, b2, b1, lambda b: collinear.band_edge_i2_r4(mu, b))
-    else:
-        raise ValidationError(f"unknown interval {interval!r}")
+    for near, free, edge_of in bands:
+        # one root where the near beta is positive (in I2 the free one too), or
+        # 0 with the free beta below 1 in I2 and above 1 beyond the near body
+        if middle:
+            one = ((near > 0.0) & (free > 0.0)) | ((near == 0.0) & (free < 1.0))
+        else:
+            one = (near > 0.0) | ((near == 0.0) & (free > 1.0))
+        labels[adm & one] = 2                                  # OneRoot
+        edges = np.full(near.shape, np.nan)                    # NaN: no band
+        for j in np.flatnonzero(near < 0.0):
+            e = edge_of(mu, float(near.flat[j]))
+            edges.flat[j] = np.nan if e is None else e
+        # two roots below the edge in I2, above it beyond the near body
+        depth = edges - free if middle else free - edges
+        band = adm & (near < 0.0) & np.isfinite(edges)
+        labels[band & (depth > 0.0)] = 3                       # TwoRoots
+        labels[band & collinear._on_band_edge(depth, edges)] = 4  # DoubleRoot, over TwoRoots
     predicate = f"resolved_root_count[{interval.value}; mu={mu!r}]"
     return _raster(x_range, y_range, labels, COLLINEAR_LEGEND, predicate)
 
 
-# The band labellers take this body's beta (`near`) and the other beta
-# (`free`) as the grid's row and column, in either order, and label the
-# (ny, nx) `labels` where the admissibility mask `adm` holds.
-
-
-def _label_outer(labels, adm, near: np.ndarray, free: np.ndarray, edge_of):
-    """The interval beyond the near body: one root where its beta is positive
-    (or 0 with the free beta above 1), two above the band edge."""
-    labels[adm & ((near > 0.0) | ((near == 0.0) & (free > 1.0)))] = 2    # OneRoot
-    edges = _band_edges(near, edge_of)
-    _label_band(labels, adm & (near < 0.0) & np.isfinite(edges), free - edges, edges)
-
-
-def _label_middle(labels, adm, near: np.ndarray, free: np.ndarray, edge_of):
-    """The near body's part of I2: one root where both betas are positive
-    (or its beta is 0 with the free beta below 1), two below the band edge."""
-    labels[adm & (((near > 0.0) & (free > 0.0)) | ((near == 0.0) & (free < 1.0)))] = 2
-    edges = _band_edges(near, edge_of)
-    _label_band(labels, adm & (near < 0.0) & np.isfinite(edges), edges - free, edges)
-
-
-def _band_edges(near: np.ndarray, edge_of) -> np.ndarray:
-    """edge_of at each negative near beta; NaN where there is no band."""
-    edges = np.full(near.shape, np.nan)
-    for j in np.flatnonzero(near < 0.0):
-        e = edge_of(float(near.flat[j]))
-        edges.flat[j] = np.nan if e is None else e
-    return edges
-
-
-def _label_band(labels, band, depth, edges):
-    """TwoRoots where depth (the free beta's signed distance into the band)
-    is positive, DoubleRoot on the edge."""
-    labels[band & (depth > 0.0)] = 3                         # TwoRoots
-    labels[band & collinear._on_band_edge(depth, edges)] = 4  # DoubleRoot, over TwoRoots
+def _tangency_curve(m_near: float, m_far: float, middle: bool, n: int) -> np.ndarray:
+    """(near beta, far beta) on the tangency curve of the band at the near body: toward
+    the far body up to the critical root if `middle` (I2), else outward (near beta -beta*)."""
+    if middle:
+        s = -np.linspace(0.0, collinear._critical_gap(m_near, m_far), n)[1:]
+        near = collinear._near_star(s, m_near, m_far)
+    else:
+        s = np.geomspace(1e-6, 10.0, n)
+        near = -collinear._near_star(s, m_near, m_far)
+    return np.column_stack([near, collinear._far_star(s, m_far)])
 
 
 def collinear_boundary_polylines(
@@ -314,22 +301,16 @@ def collinear_boundary_polylines(
     n: int = _POLYLINE_POINTS,
 ) -> dict[str, np.ndarray]:
     """Tangency curves (band edges, parameterized by x*) and the admissibility branch."""
-    # at distances s outward from the near body; beyond it its beta is -beta*
-    near, far = collinear._near_star, collinear._far_star
-    if interval is Interval.I2:
-        # toward the other body, up to the critical root
-        s1 = -np.linspace(0.0, collinear._critical_gap(1.0 - mu, mu), n)[1:]
-        s2 = -np.linspace(0.0, collinear._critical_gap(mu, 1.0 - mu), n)[1:][::-1]
+    # body 2's curve is body 1's with the masses swapped and the columns reversed
+    if interval is Interval.I1:
+        curves = {"tangency": _tangency_curve(1.0 - mu, mu, False, n)}
+    elif interval is Interval.I2:
         curves = {
-            "tangency_body1": np.column_stack([near(s1, 1.0 - mu, mu), far(s1, mu)]),
-            "tangency_body2": np.column_stack([far(s2, 1.0 - mu), near(s2, mu, 1.0 - mu)]),
+            "tangency_body1": _tangency_curve(1.0 - mu, mu, True, n),
+            "tangency_body2": _tangency_curve(mu, 1.0 - mu, True, n)[::-1, ::-1],
         }
     else:
-        s = np.geomspace(1e-6, 10.0, n)
-        if interval is Interval.I1:
-            curves = {"tangency": np.column_stack([-near(s, 1.0 - mu, mu), far(s, mu)])}
-        else:
-            curves = {"tangency": np.column_stack([far(s, 1.0 - mu), -near(s, mu, 1.0 - mu)])}
+        curves = {"tangency": _tangency_curve(mu, 1.0 - mu, False, n)[:, ::-1]}
     out = {k: _clip_window(v, x_range, y_range) for k, v in curves.items()}
     out["admissibility"] = _admissibility_branch(x_range, y_range, n, upper=False)
     return out
@@ -392,6 +373,7 @@ def configuration_stability_raster(
     mu: float, x_range=(-2.5, 2.5), y_range=(-2.5, 2.5), resolution=None
 ) -> RegionRaster:
     """Restricted configuration space labeled by the stability class (figures 16-18)."""
+    _require_mu(mu)
     rho = _distances(np.hypot, mu, *_grid(x_range, y_range, resolution))
     labels = _triangle_stability(mu, *rho)
     predicate = f"classify_triangular(rho; mu={mu!r})"
@@ -402,6 +384,7 @@ def parameter_stability_raster(
     mu: float, x_range=(0.0, 2.0), y_range=(0.0, 2.0), resolution=None
 ) -> RegionRaster:
     """(delta1, delta2) cells labeled by the stability class (figures 19-21)."""
+    _require_mu(mu)
     labels = _triangle_stability(mu, *_grid(x_range, y_range, resolution))
     predicate = f"classify_triangular(delta; mu={mu!r})"
     return _raster(x_range, y_range, labels, STABILITY_LEGEND, predicate)
@@ -567,16 +550,16 @@ class FigureDataset:
 def figure_dataset(figure: int, mu: float | None = None, resolution=None) -> FigureDataset:
     """Raster plus boundary curves for one figure number.
 
-    Figures 5, 6 and 15 take no mass ratio; the others fall back to their
-    documented defaults when `mu` is omitted.
+    Figures without a FIGURE_DEFAULT_MU entry (5, 6 and 15) take no mass
+    ratio; the others fall back to that default when `mu` is omitted.
     """
     if figure not in FIGURES:
         raise ValidationError(f"unknown figure {figure!r}; choose from {FIGURES}")
-    if figure in (5, 6, 15):
+    if figure not in FIGURE_DEFAULT_MU:
         if mu is not None:
             raise ValidationError(f"figure {figure} takes no mu")
-    else:
-        mu = FIGURE_DEFAULT_MU[figure] if mu is None else mu
+    elif mu is None:
+        mu = FIGURE_DEFAULT_MU[figure]
     curves: dict = {}
 
     if figure == 5:
@@ -598,18 +581,16 @@ def figure_dataset(figure: int, mu: float | None = None, resolution=None) -> Fig
         raster = stability_map_raster(resolution=resolution)
         curves["polylines"] = stability_map_polylines()
         curves["critical_mu"] = critical_mu()
-    elif figure in (16, 17, 18):
-        raster = configuration_stability_raster(mu, resolution=resolution)
-        report = stable_region_report(mu)
-        curves["stable_region"] = report.to_dict()
-        curves["polylines"] = {
-            f"arc_{a.branch}_{i}": a.points() for i, a in enumerate(report.arcs)
-        }
     else:
-        raster = parameter_stability_raster(mu, resolution=resolution)
         report = stable_region_report(mu)
         curves["stable_region"] = report.to_dict()
-        curves["polylines"] = {f"ellipse_{i}": e.points() for i, e in enumerate(report.ellipses)}
+        if figure <= 18:
+            raster = configuration_stability_raster(mu, resolution=resolution)
+            polylines = {f"arc_{a.branch}_{i}": a.points() for i, a in enumerate(report.arcs)}
+        else:
+            raster = parameter_stability_raster(mu, resolution=resolution)
+            polylines = {f"ellipse_{i}": e.points() for i, e in enumerate(report.ellipses)}
+        curves["polylines"] = polylines
 
     parameters = {
         "figure": figure,

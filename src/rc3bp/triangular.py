@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NoTriangularSolution
+from .errors import NoTriangularSolution, NumericError
 from .params import SystemParams
 
 # Treat |xL - (-mu)| and |xL - (1-mu)| below this as exact: the
@@ -72,6 +72,12 @@ def triangular_points(params: SystemParams) -> TriangularPair:
     d1, d2 = params.delta1**2, params.delta2**2  # beta**(2/3)
     xL = -params.mu + 0.5 * (d1 - d2 + 1.0)
     radicand = 2.0 * (d1 + d2) - (d1 - d2) ** 2 - 1.0
+    if not radicand > 0.0:
+        # the expanded form cancels within a few ulp of the degeneracy lines
+        raise NumericError(
+            f"yL**2 = {radicand / 4.0!r} is not positive in doubles at "
+            f"beta1={params.beta1!r}, beta2={params.beta2!r}"
+        )
     yL = 0.5 * math.sqrt(radicand)
     return TriangularPair(
         xL=xL,

@@ -16,8 +16,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveMass, NonpositiveRadius, NotRepulsive, NumericError
-from .errors import ValidationError, ZeroAngularMomentum
+from .errors import NonpositiveRadius, NotRepulsive, NumericError, ValidationError
+from .errors import ZeroAngularMomentum
+from .params import _require_fields
 
 # Relative tolerance for treating the radial-momentum radicand as zero at
 # the turning point; pure roundoff in k* - V_eff(rho*) must not flip the
@@ -43,14 +44,7 @@ class TwoBodyConfig:
     k: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("m1", "m2", "q1", "q2", "G", "k"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-        if self.m1 <= 0.0 or self.m2 <= 0.0:
-            raise NonpositiveMass(f"masses must be positive, got m1={self.m1!r}, m2={self.m2!r}")
-        if self.G <= 0.0 or self.k <= 0.0:
-            raise ValidationError("G and k must be positive")
+        _require_fields(self)
 
     @property
     def C(self) -> float:

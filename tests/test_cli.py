@@ -214,6 +214,9 @@ def test_brent_non_convergence_exits_3(argv, capsys, tmp_path, monkeypatch):
         # e = sqrt(1 + 4.4e-21) rounds to 1: no hyperbola in doubles
         (["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
           "--kstar", "1e-20", "--l", "1"], "e rounds to 1"),
+        # the pair exists (delta1 + delta2 = 1 + 2 ulp), but yL**2 rounds below 0
+        (["equilibria", "--mu", "0.2", "--beta1", "6.018324002166726e-05",
+          "--beta2", "0.8869815620321766", "--kind", "triangular"], "is not positive"),
     ],
 )
 def test_results_outside_the_doubles_exit_3_with_nothing_on_stdout(argv, message, capsys):
@@ -305,6 +308,11 @@ def test_critical_roots_where_the_bracket_sign_is_noise(capsys):
         ["regions", "--figure", "7", "--mu", "inf", "--resolution", "8", "--out", "unused"],
         ["regions", "--figure", "7", "--mu=-1", "--resolution", "8", "--out", "unused"],
         ["regions", "--figure", "7", "--mu", "5", "--resolution", "8", "--out", "unused"],
+        # a sample count t_end / every that overflows
+        ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+         "--state", "0.5,0.5,0,0", "--t-end", "1e300", "--every", "1e-300"],
+        ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+         "--state", "0.5,0.5,0,0", "--t-end", "1", "--every", "5e-324"],
     ],
 )
 def test_invalid_input_exits_two(argv, capsys, tmp_path, monkeypatch):

@@ -49,6 +49,10 @@ _S0 = dynamics.PhaseState(0.3, 0.8, -0.8, 0.3)
         lambda: regions.stable_region_report(0.7),
         lambda: regions.figure_dataset(8),
         lambda: regions.figure_dataset(5, mu=0.2),
+        lambda: regions.configuration_stability_raster(math.nan, resolution=8),
+        lambda: regions.configuration_stability_raster(-1.0, resolution=8),
+        lambda: regions.parameter_stability_raster(math.nan, resolution=8),
+        lambda: regions.parameter_stability_raster(5.0, resolution=8),
     ],
 )
 def test_input_checks_raise_validation_error(call):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rc3bp.errors import NonpositiveMass, ZeroThirdCharge
+from rc3bp.errors import NonpositiveMass, ValidationError, ZeroThirdCharge
 from rc3bp.params import (
     ForceRegime,
     PhysicalSystem,
@@ -74,6 +74,23 @@ def test_reduce_rejects_zero_q3_and_bad_masses():
         PhysicalSystem(0.0, 1.0, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(NonpositiveMass):
         PhysicalSystem(1.0, -2.0, 0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("G", math.inf, "G must be finite"),
+        ("q3", math.nan, "q3 must be finite"),
+        ("m3", math.nan, "m3 must be finite"),
+        ("m2", math.inf, "m2 must be finite"),
+        ("k", 0.0, "k must be positive"),
+    ],
+)
+def test_physical_system_names_the_offending_field(field, value, message):
+    fields = dict(m1=1.0, m2=0.5, m3=0.0, q1=0.2, q2=0.1, q3=1.0)
+    fields[field] = value
+    with pytest.raises(ValidationError, match=f"^{message}, got"):
+        reduce(PhysicalSystem(**fields))
 
 
 def test_system_params_validation():

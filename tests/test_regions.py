@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from rc3bp import collinear
 from rc3bp.collinear import (
     Interval,
     band_edge_i3,
@@ -155,6 +156,40 @@ def test_collinear_raster_mirror_is_the_transpose():
     window = (-0.1, 1.0)
     i2 = collinear_region_raster(Interval.I2, 0.5, window, window, resolution=64).labels
     assert 3 in i2 and np.array_equal(i2, i2.T)
+
+
+@pytest.mark.parametrize(
+    "interval, calls",
+    [
+        (Interval.I1, {"band_edge_i1": 8}),
+        (Interval.I2, {"band_edge_i2_s2": 8, "band_edge_i2_r4": 4}),
+        (Interval.I3, {"band_edge_i3": 4}),
+    ],
+)
+def test_collinear_raster_calls_the_band_edges_through_the_module(interval, calls, monkeypatch):
+    # one call per grid line with a negative near beta (8 of 16 columns
+    # for body 1, 4 of 8 rows for body 2), each seen by a wrapper put on
+    # the module after import
+    seen = dict.fromkeys(calls, 0)
+    for name in calls:
+        def counted(mu, beta, name=name, edge=getattr(collinear, name)):
+            seen[name] += 1
+            return edge(mu, beta)
+
+        monkeypatch.setattr(collinear, name, counted)
+    collinear_region_raster(interval, 0.2, resolution=(16, 8))
+    assert seen == calls
+
+
+def test_collinear_polylines_body2_is_body1_mirrored():
+    # 1/4 and 3/4 are exact complements, so the mass swap is exact: body 2's
+    # curves at mu are body 1's at 1 - mu, reversed, bit for bit
+    i2, i2_mirror = (collinear_boundary_polylines(Interval.I2, mu) for mu in (0.25, 0.75))
+    body2 = i2["tangency_body2"]
+    assert len(body2) > 20 and np.array_equal(body2, i2_mirror["tangency_body1"][::-1, ::-1])
+    i3 = collinear_boundary_polylines(Interval.I3, 0.25)["tangency"]
+    i1_mirror = collinear_boundary_polylines(Interval.I1, 0.75)["tangency"]
+    assert len(i3) > 20 and np.array_equal(i3, i1_mirror[:, ::-1])
 
 
 def test_collinear_raster_on_the_axes_matches_the_theorems():
