@@ -9,7 +9,8 @@ byte-identical outputs.
 Exit codes: 0 success, 2 validation/usage error, 3 numeric or IO failure.
 No JSON, on stdout or in a figure file or manifest, holds NaN or
 Infinity: a non-finite result exits 3, and a figure's JSON is encoded
-before either of its files is opened.
+before either of its files is opened. Figure files are written as UTF-8
+bytes; the manifest's SHA-256 digests are of exactly those bytes.
 
 numpy and the modules built on it (`regions`, `dynamics`, `stability`)
 are imported inside the subcommands that use them, so `validate`,
@@ -174,19 +175,25 @@ def _cmd_critical_roots(args) -> int:
 def _raster_csv_lines(raster: regions.RegionRaster):
     """Yield the header, then one string per raster row of ``x,y,label`` lines.
 
-    A raster has only nx distinct x and ny distinct y values, so each is
-    formatted once and the cells are joined from those strings.
+    A row is its y string joined between pieces: the first x head, then per
+    cell its label tail and the next x head. Every piece but the first depends
+    only on (column, label), so each label's pieces are built once and a row
+    takes one slice of them per run of equal labels.
     """
     yield "x,y,label\n"
     x_heads = [_fmt(xv) + "," for xv in raster.x_centers()]
-    label_tails = ["," + name + "\n" for name in raster.legend]
-    for yv, row in zip(raster.y_centers(), raster.labels.tolist()):
-        ytxt = _fmt(yv)
-        tails = [ytxt + tail for tail in label_tails]
-        yield "".join([head + tails[k] for head, k in zip(x_heads, row)])
+    nexts = x_heads[1:] + [""]
+    pieces_of = [["," + name + "\n" + head for head in nexts] for name in raster.legend]
+    for yv, row in zip(raster.y_centers(), raster.labels):
+        starts = [0, *((row[1:] != row[:-1]).nonzero()[0] + 1).tolist()]
+        pieces = [x_heads[0]]
+        for a, b, k in zip(starts, starts[1:] + [len(row)], row[starts].tolist()):
+            pieces += pieces_of[k][a:b]
+        yield _fmt(yv).join(pieces)
 
 
-def _write_figure(dataset: regions.FigureDataset, csv_path: str, json_path: str) -> None:
+def _write_figure(dataset: regions.FigureDataset, csv_path: str, json_path: str) -> list[str]:
+    """Write the figure's CSV and JSON as UTF-8; return the SHA-256 of each file's bytes."""
     meta = _json_text(
         {
             "figure": dataset.figure,
@@ -195,10 +202,16 @@ def _write_figure(dataset: regions.FigureDataset, csv_path: str, json_path: str)
             "curves": dataset.curves,
         }
     )
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.writelines(_raster_csv_lines(dataset.raster))
-    with open(json_path, "w", newline="\n") as fh:
-        fh.write(meta + "\n")
+    digests = []
+    for path, chunks in ((csv_path, _raster_csv_lines(dataset.raster)), (json_path, [meta + "\n"])):
+        h = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode()
+                h.update(data)
+                fh.write(data)
+        digests.append(h.hexdigest())
+    return digests
 
 
 def _cmd_regions(args) -> int:
@@ -253,14 +266,6 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
     """Regenerate every figure dataset into out_dir and write the manifest."""
     from . import regions
@@ -273,15 +278,15 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
         stem = f"figure-{figure:02d}"
         csv_path = os.path.join(out_dir, stem + ".csv")
         json_path = os.path.join(out_dir, stem + ".json")
-        _write_figure(dataset, csv_path, json_path)
+        digests = _write_figure(dataset, csv_path, json_path)
         entries.extend(
             {
                 "file": os.path.basename(p),
                 "subject": f"figure-{figure}",
                 "parameters": dataset.parameters,
-                "sha256": _sha256(p),
+                "sha256": digest,
             }
-            for p in (csv_path, json_path)
+            for p, digest in zip((csv_path, json_path), digests)
         )
     entries.sort(key=lambda e: e["file"])
     manifest = {

@@ -301,6 +301,7 @@ def collinear_boundary_polylines(
     n: int = _POLYLINE_POINTS,
 ) -> dict[str, np.ndarray]:
     """Tangency curves (band edges, parameterized by x*) and the admissibility branch."""
+    _require_mu(mu)
     # body 2's curve is body 1's with the masses swapped and the columns reversed
     if interval is Interval.I1:
         curves = {"tangency": _tangency_curve(1.0 - mu, mu, False, n)}
@@ -309,8 +310,10 @@ def collinear_boundary_polylines(
             "tangency_body1": _tangency_curve(1.0 - mu, mu, True, n),
             "tangency_body2": _tangency_curve(mu, 1.0 - mu, True, n)[::-1, ::-1],
         }
-    else:
+    elif interval is Interval.I3:
         curves = {"tangency": _tangency_curve(mu, 1.0 - mu, False, n)[:, ::-1]}
+    else:
+        raise ValidationError(f"unknown interval {interval!r}")
     out = {k: _clip_window(v, x_range, y_range) for k, v in curves.items()}
     out["admissibility"] = _admissibility_branch(x_range, y_range, n, upper=False)
     return out

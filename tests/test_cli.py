@@ -7,6 +7,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rc3bp import _brent, cli, collinear, regions
@@ -360,9 +361,15 @@ def test_figure_csvs_match_the_recorded_digests():
 def test_reproduce_all_manifest_digest_at_resolution_128(tmp_path):
     # pins every figure's JSON bytes too (polylines, critical roots,
     # stable-region geometry), which the CSV digests above do not cover
-    cli.reproduce_all(str(tmp_path), resolution=128)
+    manifest = cli.reproduce_all(str(tmp_path), resolution=128)
     digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
     assert digest == "e09191d174b5116eee4e3723b5556fe192f549237ed8159827af9d463b7eafdd"
+    # the digests are taken from the bytes as written; the files read back agree
+    on_disk = {
+        e["file"]: hashlib.sha256((tmp_path / e["file"]).read_bytes()).hexdigest()
+        for e in manifest["files"]
+    }
+    assert len(on_disk) == 26 and on_disk == {e["file"]: e["sha256"] for e in manifest["files"]}
 
 
 def test_regions_writes_csv_and_json(tmp_path, capsys):
@@ -383,6 +390,8 @@ def test_regions_writes_csv_and_json(tmp_path, capsys):
     assert meta["parameters"]["mu"] == 0.2
     assert "polylines" in meta["curves"]
     assert meta["legend"][0] == "Inadmissible"
+    raster = regions.figure_dataset(11, mu=0.2, resolution=16).raster
+    assert base.with_suffix(".csv").read_bytes() == _reference_csv(raster).encode()
 
 
 def _reference_csv(raster: regions.RegionRaster) -> str:
@@ -404,6 +413,34 @@ def test_raster_csv_matches_per_cell_reference(figure):
 def test_raster_csv_rectangular_keeps_axes_apart():
     raster = regions.admissible_region_raster(resolution=(7, 5))
     assert raster.labels.shape == (5, 7)
+    assert "".join(cli._raster_csv_lines(raster)) == _reference_csv(raster)
+
+
+def _runs_apart(shape, n_labels=3, seed=7):
+    """Seeded labels in which every cell differs from its left neighbour."""
+    steps = np.random.default_rng(seed).integers(1, n_labels, shape)
+    return np.cumsum(steps, axis=1) % n_labels
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        _runs_apart((9, 33)),                                   # every cell its own run
+        np.random.default_rng(3).integers(0, 3, (8, 16)),       # runs of any length
+        np.zeros((4, 6), int),                                  # one label everywhere
+        np.tile([0, 2], (5, 6)),                                # alternating by column
+        _runs_apart((5, 2)),                                    # nx = 2
+        np.random.default_rng(5).integers(0, 3, (5, 7)),        # rectangular (7, 5)
+    ],
+)
+def test_raster_csv_matches_per_cell_reference_on_label_runs(labels):
+    # the encoder slices per-label pieces by label runs; these rasters put the
+    # run boundaries everywhere, nowhere, and at both row ends
+    labels = np.asarray(labels, np.int8)
+    ny, nx = labels.shape
+    raster = regions.RegionRaster(
+        (-1.5, 2.0), (0.25, 3.0), (nx, ny), labels, ("A", "Bee", "Cccc"), "test"
+    )
     assert "".join(cli._raster_csv_lines(raster)) == _reference_csv(raster)
 
 

@@ -192,6 +192,22 @@ def test_collinear_polylines_body2_is_body1_mirrored():
     assert len(i3) > 20 and np.array_equal(i3, i1_mirror[:, ::-1])
 
 
+@pytest.mark.parametrize(
+    "interval, mu, message",
+    [
+        ("I1", 0.2, "unknown interval 'I1'"),        # a name, not an Interval
+        (None, 0.2, "unknown interval None"),
+        (Interval.I1, 0.0, "mu must lie in"),         # would divide by zero
+        (Interval.I2, 1.0, "mu must lie in"),
+        (Interval.I3, math.nan, "mu must lie in"),
+    ],
+)
+def test_collinear_polylines_reject_bad_interval_and_mu(interval, mu, message):
+    # checked as collinear_region_raster checks them, before any curve is traced
+    with np.errstate(all="raise"), pytest.raises(ValidationError, match=message):
+        collinear_boundary_polylines(interval, mu)
+
+
 def test_collinear_raster_on_the_axes_matches_the_theorems():
     # centers at exactly 0 and 1 exercise the axis regions S5/S6 and the
     # beta = 1 case, which a generic grid never hits
