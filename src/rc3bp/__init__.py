@@ -7,10 +7,10 @@ geometry behind the published phase diagrams.
 Each public name is imported from its submodule on first use, so that
 `import rc3bp` loads numpy only when a name that needs it is used. The
 parameter checks, the two-body and triangular closed forms, the
-collinear counts and roots, `potential`, `hamiltonian`, `eom` and
-`classify_triangular` run without numpy; the rasters and datasets of
-`regions`, `integrate`, `PhaseState.as_array`, `linearization` and
-`f_zero_eigenvector` load it.
+collinear counts and roots, `potential`, `hamiltonian`, `eom`,
+`classify_triangular` and the spectrum behind `stability --point` run
+without numpy; the rasters and datasets of `regions`, `integrate`,
+`PhaseState.as_array` and `linearization` load it.
 """
 
 import importlib

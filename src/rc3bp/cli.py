@@ -13,9 +13,8 @@ before either of its files is opened. Figure files are written as UTF-8
 bytes; the manifest's SHA-256 digests are of exactly those bytes.
 
 numpy and the modules built on it (`regions`, `dynamics`, `stability`)
-are imported inside the subcommands that use them, so `validate`,
-`two-body`, `equilibria`, `critical-roots` and `stability` without
-`--point` start without numpy.
+are imported inside the subcommands that use them, so every subcommand
+but `regions`, `reproduce-all` and `integrate` starts without numpy.
 """
 
 from __future__ import annotations
@@ -139,12 +138,12 @@ def _cmd_equilibria(args) -> int:
 
 def _cmd_stability(args) -> int:
     from . import stability
+    from .dynamics import potential
 
     params = SystemParams(args.mu, args.beta1, args.beta2)
     if args.point is not None:
-        x, y = args.point
-        a = stability.linearization(params, x, y)
-        eig = stability.quartic_eigenvalues(a)
+        s = potential(params, *args.point)
+        eig = stability._hessian_eigenvalues(s.Vxx, s.Vxy, s.Vyy)
         # the theorems classify only triangular/limit points; a free point
         # gets raw eigenvalues with the classification fields left null
         _emit_json(

@@ -161,17 +161,6 @@ def f_axis_prime(params: SystemParams, x: float) -> float:
     return 1.0 + t1 + t2
 
 
-def f_axis_unreduced(params: SystemParams, x: float) -> float:
-    """F(x) evaluated from the defining absolute-value form (test oracle)."""
-    mu = params.mu
-    r1, r2 = abs(x + mu), abs(x + mu - 1.0)
-    if r1 == 0.0 or r2 == 0.0:
-        raise AtPrimary(f"F has a pole at x = {x!r}")
-    t1 = params.beta1 * (1.0 - mu) * (x + mu) / r1**3 if params.beta1 != 0.0 else 0.0
-    t2 = params.beta2 * mu * (x + mu - 1.0) / r2**3 if params.beta2 != 0.0 else 0.0
-    return x - t1 - t2
-
-
 def mirror(params: SystemParams, x: float) -> tuple[SystemParams, float]:
     """The body-swap symmetry (mu, b1, b2, x) -> (1-mu, b2, b1, -x).
 
@@ -203,39 +192,41 @@ def classify_region(params: SystemParams) -> BetaRegion:
 
 
 def predicted_root_count(params: SystemParams, interval: Interval) -> PredictedCount:
-    """The theorem-prescribed count for (region, interval)."""
-    region = classify_region(params)
-    if region in (BetaRegion.INADMISSIBLE, BetaRegion.AXIS_ORIGIN):
+    """The theorem-prescribed count for (region, interval), decided on the
+    (near, free) betas of `_near_free`: up to two roots where the near body
+    repels, else one where `_one_root` says so (conditional where the near
+    beta is 0, on S5 and S6), and no claim where the free beta is then 1."""
+    if not params.admissible:
         raise InadmissibleParams(
             f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) is not admissible"
         )
-    if region in (BetaRegion.S11, BetaRegion.S12):
-        return PredictedCount.EXACTLY_ONE
-    if region is BetaRegion.S2:
-        return PredictedCount.EXACTLY_ONE if interval is Interval.I3 else PredictedCount.UP_TO_TWO
-    if region in (BetaRegion.S41, BetaRegion.S42):
-        return PredictedCount.EXACTLY_ONE if interval is Interval.I1 else PredictedCount.UP_TO_TWO
-    if region is BetaRegion.S5:
-        return _axis_prediction(interval, params.beta2, one_interval=Interval.I1)
-    return _axis_prediction(interval, params.beta1, one_interval=Interval.I3)
+    near, free = _near_free(params, interval)
+    if near < 0.0:
+        return PredictedCount.UP_TO_TWO
+    if _one_root(near, free, interval is Interval.I2):
+        return PredictedCount.EXACTLY_ONE if near > 0.0 else PredictedCount.ONE_CONDITIONAL
+    return PredictedCount.UNSPECIFIED if free == 1.0 else PredictedCount.ZERO
 
 
-def _axis_prediction(interval: Interval, beta: float, one_interval: Interval) -> PredictedCount:
-    """Shared S5/S6 logic; `one_interval` is where beta > 1 buys a root.
+def _near_free(params: SystemParams, interval: Interval) -> tuple[float, float]:
+    """(near beta, free beta): the near body is the one next to an outer
+    interval, and in I2 the one with the smaller beta."""
+    b1, b2 = params.beta1, params.beta2
+    if interval is Interval.I1:
+        return b1, b2
+    if interval is Interval.I3:
+        return b2, b1
+    return min(b1, b2), max(b1, b2)
 
-    S5 always has a root in I3 and S6 in I1 (the interval beyond the
-    charged primary); the remaining outer interval needs beta > 1 and the
-    middle interval needs beta < 1. The theorems make no claim at the
-    exact value beta = 1.
-    """
-    always = Interval.I3 if one_interval is Interval.I1 else Interval.I1
-    if interval is always:
-        return PredictedCount.EXACTLY_ONE
-    if beta == 1.0:
-        return PredictedCount.UNSPECIFIED
-    if interval is one_interval:
-        return PredictedCount.ONE_CONDITIONAL if beta > 1.0 else PredictedCount.ZERO
-    return PredictedCount.ONE_CONDITIONAL if beta < 1.0 else PredictedCount.ZERO
+
+def _one_root(near, free, middle: bool):
+    """Whether an admissible pair has one root outside the concave bands: where
+    the near beta is positive (in I2, `middle`, the free one too), or 0 with the
+    free beta below 1 in I2 and above 1 beyond the near body. Floats or numpy
+    arrays; `collinear_region_raster` labels by it."""
+    if middle:
+        return ((near > 0.0) & (free > 0.0)) | ((near == 0.0) & (free < 1.0))
+    return (near > 0.0) | ((near == 0.0) & (free > 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +266,6 @@ def g_tilde(x_star: float | np.ndarray, mu: float):
     p1 = (3.0 * x_star + mu - 1.0) * (x_star + mu) ** 3
     p2 = (3.0 * x_star + mu) * (x_star + mu - 1.0) ** 3
     return p1 * p2 - 2.0 * mu * p1 - 2.0 * (1.0 - mu) * p2
-
-
-def g_tilde_zero_mu(x_star: float | np.ndarray):
-    """The mu -> 0 limit of g_tilde: 3x(x-1)**4 (3x**3 + 2x**2 + 2x + 2)."""
-    x = x_star
-    return 3.0 * x * (x - 1.0) ** 4 * (3.0 * x**3 + 2.0 * x**2 + 2.0 * x + 2.0)
 
 
 # At and below this mu, _xr1 is the series: its remainder (about 0.3 mu**5)
@@ -376,10 +361,7 @@ def _outer_band_edge(m_near: float, m_far: float, beta_near: float, band: str) -
         return _near_star(s, m_near, m_far) + beta_near
 
     s_hat = _solve(g, *_bracket(g, (0.0, -1.0), (math.inf, 1.0), 1))
-    edge = _far_star(s_hat, m_far)
-    if not math.isfinite(edge):
-        raise RootNotBracketed(f"the {band} band edge at beta = {beta_near!r} overflows")
-    return edge
+    return _far_star(s_hat, m_far)     # inf past the largest double
 
 
 def _middle_band_edge(m_near: float, m_far: float, beta_near: float) -> float | None:
@@ -406,8 +388,9 @@ def band_edge_i1(mu: float, beta1: float) -> float:
 
     Inverts beta1* = s^3 (3s + 2mu + 1)/(2(1-mu)) (s = -(x+mu), increasing
     0 -> inf) at -beta1 and evaluates beta2* there; two roots exist for
-    beta2 strictly above the returned value, one double root on it.
-    RootNotBracketed when the inversion or the edge leaves the doubles.
+    beta2 strictly above the returned value, one double root on it. inf
+    where the edge passes the largest double (beta1 near -1e308);
+    RootNotBracketed where the inversion cannot be bracketed.
     """
     return _outer_band_edge(1.0 - mu, mu, beta1, "S2/I1")
 
@@ -452,21 +435,20 @@ def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCou
     prediction = predicted_root_count(params, interval)
     if prediction in (PredictedCount.EXACTLY_ONE, PredictedCount.ONE_CONDITIONAL):
         return ResolvedCount(1)
-    if prediction is PredictedCount.ZERO:
-        return ResolvedCount(0)
-    if prediction is PredictedCount.UNSPECIFIED:
-        # beta = 1 on an axis region: the would-be root sits exactly on the
-        # excluded primary abscissa, so the open interval holds none.
+    if prediction is not PredictedCount.UP_TO_TWO:
+        # ZERO, or UNSPECIFIED: beta = 1 on an axis region puts the would-be root
+        # exactly on the excluded primary abscissa, so the open interval holds none
         return ResolvedCount(0)
 
     # S2, the only concave region with beta1 < 0, has its bands at body 1; R'4 at body 2
     body1 = params.beta1 < 0.0
-    near, free = (params.beta1, params.beta2) if body1 else (params.beta2, params.beta1)
+    near, free = _near_free(params, interval)
     if interval is Interval.I2:
         edge = (band_edge_i2_s2 if body1 else band_edge_i2_r4)(params.mu, near)
     else:
         edge = (band_edge_i1 if body1 else band_edge_i3)(params.mu, near)
-    if edge is None:
+    if edge is None or math.isinf(edge):
+        # no band, or an outer edge past the largest double: no finite free beta is beyond it
         return ResolvedCount(0)
     # two roots strictly inside the band, a double on its edge, zero outside
     depth = edge - free if interval is Interval.I2 else free - edge

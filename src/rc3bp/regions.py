@@ -25,8 +25,9 @@ from .collinear import Interval
 from .dynamics import _distances
 from .errors import DegenerateGamma, ValidationError
 from .params import _require_folded_mu, _require_mu, is_admissible
-from .stability import _BOUNDARY_ATOL, StabilityClass, _cos_gamma, _discriminant
+from .stability import StabilityClass, _cos_gamma, _discriminant, _stability_index
 from .stability import critical_mu, gamma_mu
+from .triangular import _strict_triangle
 
 _DEFAULT_RESOLUTION = 512
 _POLYLINE_POINTS = 1024
@@ -34,13 +35,7 @@ _POLYLINE_POINTS = 1024
 ADMISSIBLE_LEGEND = ("Inadmissible", "Admissible")
 TRIANGULAR_LEGEND = ("NoTriangle", "Inadmissible", "Exists")
 COLLINEAR_LEGEND = ("Inadmissible", "ZeroRoots", "OneRoot", "TwoRoots", "DoubleRoot")
-STABILITY_LEGEND = (
-    "OutsideDomain",
-    StabilityClass.LYAPUNOV_UNSTABLE.value,
-    StabilityClass.LINEARLY_UNSTABLE_F_ZERO.value,
-    StabilityClass.LINEARLY_STABLE.value,
-    StabilityClass.LINEARLY_UNSTABLE_F_ONE.value,
-)
+STABILITY_LEGEND = ("OutsideDomain", *(c.value for c in StabilityClass))
 
 # figure number -> default mass ratio, where one applies
 FIGURE_DEFAULT_MU = {
@@ -185,8 +180,7 @@ def triangular_region_raster(
         d1, d2 = _distances(np.hypot, mu, d1, d2)
         predicate = f"triangular_exists(rho; mu={mu!r})"
 
-    positive = (d1 > 0.0) & (d2 > 0.0)
-    strict = (d1 + d2 > 1.0) & (np.abs(d1 - d2) < 1.0) & positive
+    strict = _strict_triangle(d1, d2)
     admissible = is_admissible(d1**3, d2**3)
     labels = np.zeros(strict.shape, np.int8)                # NoTriangle
     labels[strict & ~admissible] = 1                        # Inadmissible
@@ -261,13 +255,7 @@ def collinear_region_raster(
     adm = is_admissible(b1, b2)
     labels = adm.astype(np.int8)                           # ZeroRoots until shown otherwise
     for near, free, edge_of in bands:
-        # one root where the near beta is positive (in I2 the free one too), or
-        # 0 with the free beta below 1 in I2 and above 1 beyond the near body
-        if middle:
-            one = ((near > 0.0) & (free > 0.0)) | ((near == 0.0) & (free < 1.0))
-        else:
-            one = (near > 0.0) | ((near == 0.0) & (free > 1.0))
-        labels[adm & one] = 2                                  # OneRoot
+        labels[adm & collinear._one_root(near, free, middle)] = 2    # OneRoot
         edges = np.full(near.shape, np.nan)                    # NaN: no band
         for j in np.flatnonzero(near < 0.0):
             e = edge_of(mu, float(near.flat[j]))
@@ -324,12 +312,8 @@ def collinear_boundary_polylines(
 
 
 def _classify_f_grid(domain: np.ndarray, f: np.ndarray) -> np.ndarray:
-    labels = np.zeros(domain.shape, np.int8)
-    labels[domain] = 3                                     # LinearlyStable
-    labels[domain & (f < -_BOUNDARY_ATOL)] = 1             # LyapunovUnstable
-    labels[domain & (np.abs(f) <= _BOUNDARY_ATOL)] = 2     # F = 0
-    labels[domain & (np.abs(f - 1.0) <= _BOUNDARY_ATOL)] = 4  # F = 1
-    return labels
+    """STABILITY_LEGEND labels: OutsideDomain off `domain`, else F's class."""
+    return np.where(domain, 1 + _stability_index(f), 0).astype(np.int8)
 
 
 def _triangle_stability(mu: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -464,11 +448,6 @@ class StableEllipse:
     def semi_axes(self) -> tuple[float, float]:
         c = math.cos(self.gamma)
         return (1.0 / math.sqrt(1.0 - c), 1.0 / math.sqrt(1.0 + c))
-
-    def point(self, t: float) -> tuple[float, float]:
-        a, b = self.semi_axes
-        ca, sb = a * math.cos(t) / math.sqrt(2.0), b * math.sin(t) / math.sqrt(2.0)
-        return (ca + sb, -ca + sb)
 
     def points(self, n: int = 257) -> np.ndarray:
         t = np.linspace(0.0, 2.0 * math.pi, n)

@@ -19,8 +19,8 @@ with the four-way classification: F < 0 spiral instability, F = 0 a
 non-diagonalizable double pair +-(sqrt2/2) i, 0 < F < 1 four distinct
 imaginary eigenvalues, F = 1 the axis-degenerate case 0, 0, +-i.
 
-The classification is closed-form `math`/`cmath`; only the matrices
-(`linearization`, `f_zero_eigenvector`) import numpy, when called.
+The classification and the spectrum at a point are closed-form
+`math`/`cmath`; only the matrix `linearization` imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -88,7 +88,12 @@ def quartic_eigenvalues(a: np.ndarray) -> tuple[complex, complex, complex, compl
     u = lam**2 and takes complex square roots; returned as
     (+sqrt(u+), -sqrt(u+), +sqrt(u-), -sqrt(u-)).
     """
-    vxx, vxy, vyy = float(a[2, 0]), float(a[2, 1]), float(a[3, 1])
+    return _hessian_eigenvalues(float(a[2, 0]), float(a[2, 1]), float(a[3, 1]))
+
+
+def _hessian_eigenvalues(vxx: float, vxy: float, vyy: float):
+    """The spectrum of the linearization whose potential has these second
+    derivatives; the CLI's `stability --point` takes it from `potential`."""
     wxx, wyy, wxy = 1.0 + vxx, 1.0 + vyy, vxy
     p = 4.0 - wxx - wyy
     q = wxx * wyy - wxy * wxy
@@ -101,26 +106,6 @@ def _biquadratic_roots(p: float, d: float) -> tuple[complex, complex, complex, c
     disc = cmath.sqrt(complex(d))
     lp, lm = cmath.sqrt((-p + disc) / 2.0), cmath.sqrt((-p - disc) / 2.0)
     return (lp, -lp, lm, -lm)
-
-
-def f_zero_eigenvector(vxx: float, vxy: float, lam: complex) -> np.ndarray:
-    """The unique eigenvector direction at the F = 0 double eigenvalue.
-
-    v = ((2 lam + Vxy)/D, (lam**2 - 1 - Vxx)/D, (lam**2 + 1 + Vxx + lam Vxy)/D, 1)
-    with D = lam**3 + lam (1 - Vxx) + Vxy; one direction per lam is what
-    makes the matrix non-diagonalizable.
-    """
-    import numpy as np
-
-    d = lam**3 + lam * (1.0 - vxx) + vxy
-    return np.array(
-        [
-            (2.0 * lam + vxy) / d,
-            (lam * lam - 1.0 - vxx) / d,
-            (lam * lam + 1.0 + vxx + lam * vxy) / d,
-            1.0,
-        ]
-    )
 
 
 def _on_limit_locus(params: SystemParams) -> bool:
@@ -188,18 +173,20 @@ def classify_triangular(params: SystemParams) -> StabilityReport:
     gamma = gamma_of(params)
     mu = params.mu if params.mu <= 0.5 else 1.0 - params.mu
     f_val = f_stability(mu, gamma)
-    if abs(f_val) <= _BOUNDARY_ATOL:
+    cls = list(StabilityClass)[_stability_index(f_val)]
+    if cls is StabilityClass.LINEARLY_UNSTABLE_F_ZERO:
         lam = complex(0.0, math.sqrt(2.0) / 2.0)
-        return StabilityReport(
-            (lam, -lam, lam, -lam), f_val, gamma, StabilityClass.LINEARLY_UNSTABLE_F_ZERO
-        )
-    if abs(f_val - 1.0) <= _BOUNDARY_ATOL:
-        return StabilityReport(
-            (0.0 + 0.0j, 0.0 + 0.0j, 1.0j, -1.0j),
-            f_val,
-            gamma,
-            StabilityClass.LINEARLY_UNSTABLE_F_ONE,
-        )
-    eig = _biquadratic_roots(1.0, f_val)     # p = 1 and d = 1 - 4q = F
-    cls = StabilityClass.LYAPUNOV_UNSTABLE if f_val < 0.0 else StabilityClass.LINEARLY_STABLE
+        eig = (lam, -lam, lam, -lam)
+    elif cls is StabilityClass.LINEARLY_UNSTABLE_F_ONE:
+        eig = (0.0 + 0.0j, 0.0 + 0.0j, 1.0j, -1.0j)
+    else:
+        eig = _biquadratic_roots(1.0, f_val)     # p = 1 and d = 1 - 4q = F
     return StabilityReport(eig, f_val, gamma, cls)
+
+
+def _stability_index(f):
+    """The position in StabilityClass of the class that F gives: 2 (stable),
+    less 2 for F < 0, less 1 at F = 0, plus 1 at F = 1, the equalities within
+    _BOUNDARY_ATOL. Floats or numpy arrays; the stability rasters label by it."""
+    zero, one = abs(f) <= _BOUNDARY_ATOL, abs(f - 1.0) <= _BOUNDARY_ATOL
+    return 2 - 2 * (f < -_BOUNDARY_ATOL) - zero + one

@@ -57,13 +57,13 @@ class TriangularPair:
 
 def triangular_exists(params: SystemParams) -> bool:
     """True iff the closed-form triangular pair exists (strict inequalities)."""
-    if not params.admissible:
-        return False
-    b1, b2 = params.beta1, params.beta2
-    if b1 <= 0.0 or b2 <= 0.0:
-        return False
-    d1, d2 = params.delta1, params.delta2
-    return d1 + 1.0 > d2 and d2 + 1.0 > d1 and d1 + d2 > 1.0
+    return params.admissible and _strict_triangle(params.delta1, params.delta2)
+
+
+def _strict_triangle(d1, d2):
+    """Whether positive sides d1, d2 and the unit separation make a strict
+    triangle. Floats or numpy arrays; `triangular_region_raster` labels by it."""
+    return (d1 > 0.0) & (d2 > 0.0) & (d1 + d2 > 1.0) & (abs(d1 - d2) < 1.0)
 
 
 def triangular_points(params: SystemParams) -> TriangularPair:

@@ -1,0 +1,53 @@
+"""Closed forms the tests check the library against, kept out of the package.
+
+Each is written from the paper's defining formula, not from the reduced
+or vectorized form the library evaluates.
+"""
+
+import math
+
+import numpy as np
+
+from rc3bp.errors import AtPrimary
+
+
+def f_axis_unreduced(params, x: float) -> float:
+    """F(x) evaluated from the defining absolute-value form."""
+    mu = params.mu
+    r1, r2 = abs(x + mu), abs(x + mu - 1.0)
+    if r1 == 0.0 or r2 == 0.0:
+        raise AtPrimary(f"F has a pole at x = {x!r}")
+    t1 = params.beta1 * (1.0 - mu) * (x + mu) / r1**3 if params.beta1 != 0.0 else 0.0
+    t2 = params.beta2 * mu * (x + mu - 1.0) / r2**3 if params.beta2 != 0.0 else 0.0
+    return x - t1 - t2
+
+
+def g_tilde_zero_mu(x):
+    """The mu -> 0 limit of g_tilde: 3x(x-1)**4 (3x**3 + 2x**2 + 2x + 2)."""
+    return 3.0 * x * (x - 1.0) ** 4 * (3.0 * x**3 + 2.0 * x**2 + 2.0 * x + 2.0)
+
+
+def f_zero_eigenvector(vxx: float, vxy: float, lam: complex) -> np.ndarray:
+    """The unique eigenvector direction at the F = 0 double eigenvalue.
+
+    v = ((2 lam + Vxy)/D, (lam**2 - 1 - Vxx)/D, (lam**2 + 1 + Vxx + lam Vxy)/D, 1)
+    with D = lam**3 + lam (1 - Vxx) + Vxy; one direction per lam is what
+    makes the matrix non-diagonalizable.
+    """
+    d = lam**3 + lam * (1.0 - vxx) + vxy
+    return np.array(
+        [
+            (2.0 * lam + vxy) / d,
+            (lam * lam - 1.0 - vxx) / d,
+            (lam * lam + 1.0 + vxx + lam * vxy) / d,
+            1.0,
+        ]
+    )
+
+
+def ellipse_point(ellipse, t: float) -> tuple[float, float]:
+    """The point at parameter t on a `StableEllipse`: semi-axis a along
+    (1, -1)/sqrt2 and b along (1, 1)/sqrt2."""
+    a, b = ellipse.semi_axes
+    ca, sb = a * math.cos(t) / math.sqrt(2.0), b * math.sin(t) / math.sqrt(2.0)
+    return (ca + sb, -ca + sb)

@@ -21,6 +21,7 @@ from rc3bp.collinear import BetaRegion, Interval
 from rc3bp.dynamics import PhaseState, equilibrium_state, integrate, omega_gradient
 from rc3bp.params import SystemParams, is_admissible
 from rc3bp.triangular import triangular_exists, triangular_points
+from formula_oracles import f_axis_unreduced
 from scan_oracle import scan_in_interval
 
 _ALL_REGIONS = (
@@ -214,8 +215,8 @@ def test_criterion_06_axis_mirror_antisymmetry(criterion):
         if min(abs(x + mu), abs(x + mu - 1.0)) < 1e-3:
             continue
         q, xm = collinear.mirror(p, x)
-        f = collinear.f_axis_unreduced(p, x)
-        s = collinear.f_axis_unreduced(q, xm) + f
+        f = f_axis_unreduced(p, x)
+        s = f_axis_unreduced(q, xm) + f
         worst = max(worst, abs(s) / max(1.0, abs(f)))
         n += 1
 

@@ -167,7 +167,7 @@ _CLI_CASES = [
     ("equilibria --mu=0.2 --beta1=-0.5 --beta2=2.0 --kind=collinear", False),
     ("stability --mu=0.03 --beta1=0.9 --beta2=1.1", False),
     ("critical-roots --mu=0.1 --series", False),
-    ("stability --mu=0.2 --beta1=1.0 --beta2=1.0 --point=0.5,0.5", True),
+    ("stability --mu=0.2 --beta1=1.0 --beta2=1.0 --point=0.5,0.5", False),
     ("regions --figure=15 --resolution=16 --out=.bench_work/cli/figure-15-16", True),
     ("integrate --mu=0.1 --beta1=1.0 --beta2=1.0 --state=0.1,0,0,1.2 --t-end=2 --every=0.25", True),
 ]

@@ -166,6 +166,15 @@ def test_collinear_equilibria_exit_3_where_the_root_is_within_an_ulp_of_a_primar
     assert err.startswith("numeric failure: cannot bracket a root")
 
 
+def test_collinear_equilibria_past_the_largest_band_edge(capsys):
+    # at beta1 = -1e308 the S2/I1 band edge passes the largest double, so I1
+    # holds no root; beta2 = 1e300 puts the I3 root 5e-5 beyond primary 2
+    code, out, _ = run_collinear(capsys, "--mu", "0.2", "--beta1=-1e308", "--beta2", "1e300")
+    assert code == 0
+    (root,) = json.loads(out)["roots"]
+    assert root["interval"] == "I3" and 0.0 < root["x"] - 0.8 < 1e-4
+
+
 @pytest.mark.parametrize("beta2, i1_roots", [("1.2", 0), ("1.5", 2)])
 def test_collinear_equilibria_at_tiny_mu_and_beta(beta2, i1_roots, capsys):
     # the S2/I1 band edge is 1.389 here, its tangency 3e-16 beyond primary 1

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -24,11 +25,9 @@ from rc3bp.collinear import (
     critical_roots_series,
     f_axis,
     f_axis_prime,
-    f_axis_unreduced,
     find_collinear,
     find_in_interval,
     g_tilde,
-    g_tilde_zero_mu,
     interval_of,
     limit_collinear,
     mirror,
@@ -38,6 +37,7 @@ from rc3bp.collinear import (
 from rc3bp.errors import AtPrimary, AxisOutOfRange, InadmissibleParams, NotOnLimitLocus
 from rc3bp.errors import RootNotBracketed
 from rc3bp.params import SystemParams
+from formula_oracles import f_axis_unreduced, g_tilde_zero_mu
 from scan_oracle import scan_in_interval
 
 
@@ -158,6 +158,62 @@ def test_predicted_count_table():
     assert predicted_root_count(p, Interval.I3) is PredictedCount.ONE_CONDITIONAL
     with pytest.raises(InadmissibleParams):
         predicted_root_count(SystemParams(0.3, 3.0, 2.0), Interval.I1)
+
+
+_ONE, _COND, _UP, _ZERO, _UNSPEC = (
+    PredictedCount.EXACTLY_ONE, PredictedCount.ONE_CONDITIONAL, PredictedCount.UP_TO_TWO,
+    PredictedCount.ZERO, PredictedCount.UNSPECIFIED,
+)
+# the paper's (I1, I2, I3) counts per S-region
+_COUNT_TABLE = {
+    BetaRegion.S11: (_ONE, _ONE, _ONE),
+    BetaRegion.S12: (_ONE, _ONE, _ONE),
+    BetaRegion.S2: (_UP, _UP, _ONE),
+    BetaRegion.S41: (_ONE, _UP, _UP),
+    BetaRegion.S42: (_ONE, _UP, _UP),
+}
+
+
+def _table_count(p, interval):
+    """The count from classify_region and the table; on the axis regions S5
+    (beta1 = 0) and S6 (beta2 = 0, its mirror) the other beta decides: above 1
+    a root beyond the uncharged body, below 1 one between the bodies, and no
+    claim at exactly 1."""
+    region = classify_region(p)
+    if region in _COUNT_TABLE:
+        row = _COUNT_TABLE[region]
+    else:
+        beta = p.beta2 if region is BetaRegion.S5 else p.beta1
+        if beta == 1.0:
+            row = (_UNSPEC, _UNSPEC, _ONE)
+        else:
+            row = (_COND, _ZERO, _ONE) if beta > 1.0 else (_ZERO, _COND, _ONE)
+        if region is BetaRegion.S6:
+            row = row[::-1]
+    return row[list(Interval).index(interval)]
+
+
+_SPECIAL_BETAS = [0.0, -0.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 1.5, 1e16] + [
+    s * b
+    for b in (5e-324, 1e-300, 1e-16, 0.5, 1.0, 2.0, 3.0, 1e300, sys.float_info.max)
+    for s in (1.0, -1.0)
+]
+
+
+def test_predicted_count_matches_the_written_out_table():
+    # every (beta1, beta2) pair of the special values, -0.0 and 1 +- ulp included
+    checked = 0
+    for b1 in _SPECIAL_BETAS:
+        for b2 in _SPECIAL_BETAS:
+            p = SystemParams(0.3, b1, b2)
+            for iv in Interval:
+                if classify_region(p) in (BetaRegion.INADMISSIBLE, BetaRegion.AXIS_ORIGIN):
+                    with pytest.raises(InadmissibleParams):
+                        predicted_root_count(p, iv)
+                    continue
+                assert predicted_root_count(p, iv) is _table_count(p, iv), (b1, b2, iv)
+                checked += 1
+    assert checked > 500
 
 
 def test_axis_case_beta_one_has_no_interior_root():
@@ -369,10 +425,12 @@ def test_band_edges_at_beta_1e300(params, interval, expected):
     ],
 )
 def test_band_edge_past_the_largest_double_is_a_typed_error(params, interval):
-    # the edge (about 4e308) overflows to inf; comparing against it would
-    # take every finite free beta for a point on the edge
-    with pytest.raises(RootNotBracketed, match="overflows"):
-        resolved_root_count(params, interval)
+    # the edge (about 4e308) overflows to inf: no finite free beta lies above
+    # it, so the band holds no root, as the collinear raster labels it
+    assert resolved_root_count(params, interval) == ResolvedCount(0)
+    near = params.beta1 if interval is Interval.I1 else params.beta2
+    band_edge = band_edge_i1 if interval is Interval.I1 else band_edge_i3
+    assert band_edge(params.mu, near) == math.inf
 
 
 def test_unreachable_band_edge_is_a_typed_error():

@@ -13,13 +13,13 @@ from rc3bp.stability import (
     classify_triangular,
     critical_mu,
     f_stability,
-    f_zero_eigenvector,
     gamma_mu,
     gamma_of,
     linearization,
     quartic_eigenvalues,
 )
 from rc3bp.triangular import triangular_exists, triangular_points
+from formula_oracles import f_zero_eigenvector
 
 
 def _params_with_gamma(gamma, mu=0.3):

@@ -1,15 +1,17 @@
 """Off-axis equilibrium pair: existence, coordinates, classification."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from rc3bp.dynamics import omega_gradient
 from rc3bp.errors import NoTriangularSolution
-from rc3bp.params import SystemParams
+from rc3bp.params import SystemParams, is_admissible
 from rc3bp.triangular import (
     TriangularLocation,
+    _strict_triangle,
     classify_location,
     triangular_exists,
     triangular_points,
@@ -136,3 +138,36 @@ def test_location_matches_coordinates_random():
         elif loc is TriangularLocation.BETWEEN:
             assert -mu < pair.xL < 1.0 - mu
         n += 1
+
+
+def _near_degeneracy_lines(rng, draws):
+    """Params whose deltas lie within 4 ulp of delta2 = delta1 + 1 (line 0),
+    delta1 = delta2 + 1 (line 1) or delta1 + delta2 = 1 (line 2): one beta is
+    drawn in (0, 1), where all three lines are admissible, and the other is
+    stepped by ulps across the cube of the line's delta."""
+    out = []
+    for _ in range(draws):
+        line, b_free = rng.randrange(3), rng.uniform(1e-3, 1.0)
+        free = SystemParams(0.3, b_free, 1.0).delta1
+        t = 1.0 - free if line == 2 else free + 1.0
+        b = t**3
+        for _ in range(12):
+            b = math.nextafter(b, 0.0)
+        for _ in range(25):
+            p = SystemParams(0.3, b, b_free) if line == 1 else SystemParams(0.3, b_free, b)
+            if abs((p.delta1 if line == 1 else p.delta2) - t) <= 4.0 * math.ulp(t):
+                out.append(p)
+            b = math.nextafter(b, math.inf)
+    return out
+
+
+def test_triangular_exists_matches_the_array_kernel_near_the_lines():
+    # the scalar answer and the raster's numpy evaluation of the same kernel
+    # agree cell for cell, also within a few ulp of the degeneracy lines
+    ps = _near_degeneracy_lines(random.Random(20), 600)
+    d1, d2, b1, b2 = (
+        np.array([getattr(p, k) for p in ps]) for k in ("delta1", "delta2", "beta1", "beta2")
+    )
+    kernel = _strict_triangle(d1, d2) & is_admissible(b1, b2)
+    assert [triangular_exists(p) for p in ps] == kernel.tolist()
+    assert 0.1 * len(ps) < np.count_nonzero(kernel) < 0.9 * len(ps)   # both sides drawn
