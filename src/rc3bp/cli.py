@@ -12,27 +12,27 @@ Infinity: a non-finite result exits 3, and a figure's JSON is encoded
 before either of its files is opened. Figure files are written as UTF-8
 bytes; the manifest's SHA-256 digests are of exactly those bytes.
 
-numpy and the modules built on it (`regions`, `dynamics`, `stability`)
-are imported inside the subcommands that use them, so every subcommand
-but `regions`, `reproduce-all` and `integrate` starts without numpy.
+Each subcommand imports only the modules it runs. The top of this module
+loads `errors` and `params`; every other rc3bp module (`twobody`,
+`triangular`, `collinear`, `stability`, `dynamics`, `regions`) and
+`hashlib` is imported inside the handler that uses it, so `validate`
+loads nothing else, and every subcommand but `regions`, `reproduce-all`
+and `integrate` starts without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import enum
-import hashlib
 import json
 import math
 import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import __version__, collinear, twobody
-from .collinear import Interval
+from . import __version__
 from .errors import NumericError, Rc3bpError, ValidationError
 from .params import SystemParams
-from .triangular import triangular_points
 
 if TYPE_CHECKING:
     from . import regions
@@ -91,6 +91,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_two_body(args) -> int:
+    from . import twobody
+
     cfg = twobody.TwoBodyConfig(args.m1, args.m2, args.q1, args.q2, args.G, args.k)
     payload = {
         "C": cfg.C,
@@ -109,6 +111,8 @@ def _cmd_two_body(args) -> int:
 def _cmd_equilibria(args) -> int:
     params = SystemParams(args.mu, args.beta1, args.beta2)
     if args.kind == "triangular":
+        from .triangular import triangular_points
+
         pair = triangular_points(params)
         _emit_json(
             {
@@ -121,9 +125,11 @@ def _cmd_equilibria(args) -> int:
             }
         )
         return 0
+    from . import collinear
+
     roots = collinear.find_collinear(params)
     predicted = {
-        iv.value: collinear.predicted_root_count(params, iv).value for iv in Interval
+        iv.value: collinear.predicted_root_count(params, iv).value for iv in collinear.Interval
     }
     _emit_json(
         {
@@ -138,10 +144,11 @@ def _cmd_equilibria(args) -> int:
 
 def _cmd_stability(args) -> int:
     from . import stability
-    from .dynamics import potential
 
     params = SystemParams(args.mu, args.beta1, args.beta2)
     if args.point is not None:
+        from .dynamics import potential
+
         s = potential(params, *args.point)
         eig = stability._hessian_eigenvalues(s.Vxx, s.Vxy, s.Vyy)
         # the theorems classify only triangular/limit points; a free point
@@ -161,6 +168,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_critical_roots(args) -> int:
+    from . import collinear
+
     xr1, xr2 = collinear.critical_roots(args.mu)
     payload = {"mu": args.mu, "x_r1": xr1, "x_r2": xr2}
     if args.series:
@@ -193,6 +202,8 @@ def _raster_csv_lines(raster: regions.RegionRaster):
 
 def _write_figure(dataset: regions.FigureDataset, csv_path: str, json_path: str) -> list[str]:
     """Write the figure's CSV and JSON as UTF-8; return the SHA-256 of each file's bytes."""
+    import hashlib
+
     meta = _json_text(
         {
             "figure": dataset.figure,

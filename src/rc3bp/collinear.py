@@ -273,6 +273,14 @@ def g_tilde(x_star: float | np.ndarray, mu: float):
 # the polynomial's rounding error from about 7e-6 down.
 _XR1_SERIES_MU = 1e-4
 
+# At and below this near mass, _critical_gap solves for the distance from the
+# near body itself. Through x_r1(1 - mu) the rounding of 1 - mu moves the
+# distance by up to 1.4e-17/mu relative, and at 1e-4 it is still 250 eps off
+# the 200-bit oracle where the direct solve is within 2 eps (see
+# tests/test_band_edge_oracle.py). Every mu of the figures and the CLI
+# references lies above it, so their bytes keep the mirrored solve.
+_GAP_SOLVE_MU = 1e-4
+
 # the x_r2 series' coefficients of q, q**2, q**3 (q = mu**(1/4)) and mu
 _XR2_C = ((4.0 / 27.0) ** 0.25, 11.0 / (36.0 * math.sqrt(3.0)),
           67.0 / (864.0 * 12.0**0.25), 497.0 / 486.0)
@@ -299,15 +307,16 @@ def critical_roots(mu: float) -> tuple[float, float]:
     """(x_r1, x_r2): the band-terminating roots of G(., mu).
 
     x_r1 is Brent's root inside (-mu, -mu/3), or the series for mu <= 1e-4;
-    x_r2 follows from the mirror identity x_r2(mu) = -x_r1(1-mu) and is
-    confirmed to be a root inside ((1-mu)/3, 1-mu). Where 1 - mu rounds to
-    1 the mirrored mass ratio is not representable, so the series is
-    returned; its neglected terms are below one ulp there.
+    x_r2 follows from the mirror identity x_r2(mu) = -x_r1(1-mu), or for
+    mu <= 1e-4 from its distance to primary 2 (`_critical_gap`), and is
+    confirmed to lie inside ((1-mu)/3, 1-mu). Where 1 - mu rounds to 1 the
+    series is returned; its neglected terms are below one ulp there.
     """
     _require_folded_mu(mu)
     if 1.0 - mu == 1.0:
         return critical_roots_series(mu)
-    xr1, xr2 = _xr1(mu), -_xr1(1.0 - mu)
+    xr1 = _xr1(mu)
+    xr2 = 1.0 - mu - _critical_gap(mu, 1.0 - mu) if mu <= _GAP_SOLVE_MU else -_xr1(1.0 - mu)
     if not ((1.0 - mu) / 3.0 < xr2 < 1.0 - mu):
         raise RootNotBracketed(f"x_r2 = {xr2!r} fell outside (({1.0 - mu!r})/3, {1.0 - mu!r})")
     return xr1, xr2
@@ -329,7 +338,9 @@ def critical_roots_series(mu: float) -> tuple[float, float]:
 def _critical_gap(m_near: float, m_far: float) -> float:
     """Distance from the near body to the critical root between the primaries.
 
-    In the near body's frame that root is x_r1 at the far mass. Where m_far
+    In the near body's frame that root is x_r1 at the far mass. For a near
+    mass up to _GAP_SOLVE_MU the distance d is solved for directly, so the
+    rounded m_far = 1 - m_near never sets the mass ratio; where m_far
     rounds to 1 it is 1 - mu - x_r2 from the series in mu = m_near, so
     nothing is subtracted from 1.
     """
@@ -337,7 +348,21 @@ def _critical_gap(m_near: float, m_far: float) -> float:
         c1, c2, c3, c4 = _XR2_C
         q = m_near**0.25
         return c1 * q - c2 * q**2 - c3 * q**3 + (c4 - 1.0) * m_near
-    return _xr1(m_far) + m_far
+    if m_near > _GAP_SOLVE_MU:
+        return _xr1(m_far) + m_far
+
+    def g(d: float) -> float:
+        # g_tilde at the distance d, with the d**3 terms of p1 p2 - 2 m_far p2
+        # that cancel near the near body taken out by hand:
+        # d**4 (1 + 2 m_far - 3d)(2 m_far (3 - 3d + d**2) + 3 (1-d)**3)
+        #   - 2 m_near (2 m_far - 3d)(1-d)**3
+        e = (1.0 - d) ** 3
+        far = 2.0 * m_far
+        return (d**4 * (1.0 + far - 3.0 * d) * (far * (3.0 - 3.0 * d + d * d) + 3.0 * e)
+                - 2.0 * m_near * (far - 3.0 * d) * e)
+
+    # g(0) = -4 m_near m_far < 0 < g(2 m_far/3), the far end of the gap
+    return _solve(g, *_bracket(g, (0.0, -1.0), (2.0 * m_far / 3.0, 1.0), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ non-diagonalizable double pair +-(sqrt2/2) i, 0 < F < 1 four distinct
 imaginary eigenvalues, F = 1 the axis-degenerate case 0, 0, +-i.
 
 The classification and the spectrum at a point are closed-form
-`math`/`cmath`; only the matrix `linearization` imports numpy, when called.
+`math`/`cmath`. Only the matrix `linearization` needs numpy and the
+potential from `dynamics`; it imports both when called, so the
+classification loads neither.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .dynamics import potential
 from .errors import BelowCriticalMass, NotOnTriangularLocus, ValidationError
 from .params import SystemParams, _limit_line, _require_folded_mu
 from .triangular import triangular_exists
@@ -69,6 +70,8 @@ class StabilityReport:
 def linearization(params: SystemParams, x: float, y: float) -> np.ndarray:
     """The 4x4 matrix of the flow linearized at (x, y) with equilibrium momenta."""
     import numpy as np
+
+    from .dynamics import potential
 
     s = potential(params, x, y)
     return np.array(

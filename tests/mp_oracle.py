@@ -91,10 +91,20 @@ def _root(f, d):
     return (lo + hi) / 2
 
 
-def _critical_distance(band: str, mu):
+def critical_distance(band: str, mu):
     """Distance from the near primary to the critical root of a middle band."""
-    top = 2 * mu / 3 if band == "I2/S2" else 2 * (1 - mu) / 3
-    return _root(lambda d: _g_tilde(band, mu, d), top)
+    with mp.workprec(_PREC):
+        mu = mpf(mu)
+        top = 2 * mu / 3 if band == "I2/S2" else 2 * (1 - mu) / 3
+        return _root(lambda d: _g_tilde(band, mu, d), top)
+
+
+def critical_roots(mu: float):
+    """(x_r1, x_r2) as mpf: the critical roots -mu + d1 and 1 - mu - d2,
+    d1 and d2 their distances to primary 1 and primary 2."""
+    with mp.workprec(_PREC):
+        mu = mpf(mu)
+        return -mu + critical_distance("I2/S2", mu), 1 - mu - critical_distance("I2/R'4", mu)
 
 
 def band_edge(band: str, mu: float, beta: float):
@@ -105,7 +115,7 @@ def band_edge(band: str, mu: float, beta: float):
         fixed, compared = _curves(band, mu)
         if band in ("I1", "I3"):
             return compared(_root(lambda d: fixed(d) + beta, mpf(1)))
-        d_r = _critical_distance(band, mu)
+        d_r = critical_distance(band, mu)
         if not fixed(d_r) < beta:
             return None
         return compared(_root(lambda d: beta - fixed(d), d_r))
@@ -123,5 +133,5 @@ def fixed_beta(band: str, mu: float, frac: float) -> float:
             return float(-fixed(frac * mu))
         if band == "I3":
             return float(-fixed(frac * (1 - mu)))
-        return float(fixed(frac * _critical_distance(band, mu)))
+        return float(fixed(frac * critical_distance(band, mu)))
 

@@ -88,3 +88,29 @@ def test_resolved_count_next_to_the_oracle_edge(band):
             assert resolved_root_count(p, interval).count == want, (p, band)
             checked += 1
     assert checked >= _DRAWS // 2
+
+
+def test_critical_roots_and_gap_match_the_oracle():
+    # up to collinear._GAP_SOLVE_MU the distance from primary 2 is solved
+    # for itself; through x_r1 at the rounded 1 - mu it was 5.5e-6 relative
+    # off at mu = 1e-12 and 2e-4 at 1e-14. Brent stops within 4 eps of the
+    # distance; the roots are within 2 ulp
+    rng = random.Random("critical-roots-oracle")
+    mus = [10.0 ** rng.uniform(-16.0, -4.0) for _ in range(_DRAWS)]
+    for mu in [*mus, 1e-4, 2.0**-40]:
+        gap = mp_oracle.critical_distance("I2/R'4", mu)
+        want = mp_oracle.critical_roots(mu)
+        got_gap = collinear._critical_gap(mu, 1.0 - mu)
+        assert abs(mpf(got_gap) - gap) <= 8.0 * 2.0**-53 * gap, mu
+        for got, w in zip(collinear.critical_roots(mu), want):
+            assert abs(mpf(got) - w) <= 2.0 * math.ulp(float(w)), mu
+
+
+@pytest.mark.parametrize("mu", [1e-14, 1e-12, 1e-10])
+def test_r4_band_closes_at_the_oracle_critical_root(mu):
+    # a tangency 1e-7 of the critical distance inside it leaves the band
+    # open, 1e-7 outside it empty, as the oracle says
+    for frac, empty in ((1.0 - 1e-7, False), (1.0 + 1e-7, True)):
+        beta = mp_oracle.fixed_beta("I2/R'4", mu, frac)
+        assert (mp_oracle.band_edge("I2/R'4", mu, beta) is None) == empty
+        assert (collinear.band_edge_i2_r4(mu, beta) is None) == empty, frac

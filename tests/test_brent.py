@@ -4,8 +4,8 @@ scipy is the independent oracle here: the port must return the very
 same float (and raise the same error) on every bracket, with scipy set to
 the port's fixed rtol and iteration limit. The last tests check, each in
 a fresh interpreter, what the CLI and the root-finding paths import: no
-scipy outside `integrate`, and numpy only for `regions`, `integrate` and
-`stability --point`.
+scipy outside `integrate`, numpy only for `regions` and `integrate`, and
+per subcommand exactly the rc3bp modules it runs.
 """
 
 import importlib
@@ -159,41 +159,56 @@ def test_cli_start_up_does_not_import_scipy():
 
 _REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
-# One cli_reference.json case per subcommand, and whether it needs numpy.
+# One cli_reference.json case per subcommand, whether it needs numpy, and
+# the rc3bp modules it loads beyond cli, errors and params
 _CLI_CASES = [
-    ("validate --mu=0.2 --beta1=0.5 --beta2=1.5", False),
-    ("two-body --m1=1 --m2=1 --q1=2 --q2=2 --kstar=3 --l=0.5", False),
-    ("equilibria --mu=0.1 --beta1=0.8 --beta2=1.2 --kind=triangular", False),
-    ("equilibria --mu=0.2 --beta1=-0.5 --beta2=2.0 --kind=collinear", False),
-    ("stability --mu=0.03 --beta1=0.9 --beta2=1.1", False),
-    ("critical-roots --mu=0.1 --series", False),
-    ("stability --mu=0.2 --beta1=1.0 --beta2=1.0 --point=0.5,0.5", False),
-    ("regions --figure=15 --resolution=16 --out=.bench_work/cli/figure-15-16", True),
-    ("integrate --mu=0.1 --beta1=1.0 --beta2=1.0 --state=0.1,0,0,1.2 --t-end=2 --every=0.25", True),
+    ("validate --mu=0.2 --beta1=0.5 --beta2=1.5", False, set()),
+    ("two-body --m1=1 --m2=1 --q1=2 --q2=2 --kstar=3 --l=0.5", False, {"twobody"}),
+    ("equilibria --mu=0.1 --beta1=0.8 --beta2=1.2 --kind=triangular", False, {"triangular"}),
+    ("equilibria --mu=0.2 --beta1=-0.5 --beta2=2.0 --kind=collinear", False,
+     {"_brent", "collinear"}),
+    ("stability --mu=0.03 --beta1=0.9 --beta2=1.1", False, {"stability", "triangular"}),
+    ("critical-roots --mu=0.1 --series", False, {"_brent", "collinear"}),
+    ("stability --mu=0.2 --beta1=1.0 --beta2=1.0 --point=0.5,0.5", False,
+     {"dynamics", "stability", "triangular"}),
+    ("regions --figure=15 --resolution=16 --out=.bench_work/cli/figure-15-16", True,
+     {"_brent", "collinear", "dynamics", "regions", "stability", "triangular"}),
+    ("integrate --mu=0.1 --beta1=1.0 --beta2=1.0 --state=0.1,0,0,1.2 --t-end=2 --every=0.25", True,
+     {"dynamics"}),
 ]
 
-# cli.main in a new interpreter; the last stderr line says whether numpy got loaded
+# cli.main in a new interpreter; the last stderr line is a JSON list: whether
+# numpy and hashlib got loaded, and the rc3bp submodules that did
 _FRESH_MAIN = "\n".join(
     [
-        "import sys",
+        "import json, sys",
         "from rc3bp.cli import main",
         "code = main(sys.argv[1:])",
-        "print('numpy' in sys.modules, file=sys.stderr)",
+        "own = sorted(m[6:] for m in sys.modules if m.startswith('rc3bp.'))",
+        "loaded = ['numpy' in sys.modules, 'hashlib' in sys.modules, own]",
+        "print(json.dumps(loaded), file=sys.stderr)",
         "sys.exit(code)",
     ]
 )
 
 
-@pytest.mark.parametrize("key, needs_numpy", _CLI_CASES)
-def test_cli_subcommand_in_a_fresh_process(key, needs_numpy, tmp_path):
+@pytest.mark.parametrize(
+    "key, needs_numpy, modules", _CLI_CASES, ids=[f"{k}-{n}" for k, n, _ in _CLI_CASES]
+)
+def test_cli_subcommand_in_a_fresh_process(key, needs_numpy, modules, tmp_path):
     # a fresh interpreter catches a missing local import that an in-process
-    # replay can miss because another test already loaded the module
+    # replay can miss because another test already loaded the module, and
+    # sees every module a subcommand loads that it does not run
     reference = json.loads((_REFERENCE_DIR / "cli_reference.json").read_text())
     (tmp_path / ".bench_work" / "cli").mkdir(parents=True)
     proc = _run_fresh(_FRESH_MAIN, *key.split(" "), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == reference[key]
-    assert proc.stderr == f"{needs_numpy}\n"
+    numpy_loaded, hashlib_loaded, own = json.loads(proc.stderr)
+    assert numpy_loaded == needs_numpy
+    # scipy loads hashlib for integrate; the figure writer imports it itself
+    assert needs_numpy or not hashlib_loaded
+    assert set(own) == {"cli", "errors", "params"} | modules
 
 
 def test_cli_unknown_figure_exits_2_in_a_fresh_process(tmp_path):

@@ -424,7 +424,7 @@ def test_band_edges_at_beta_1e300(params, interval, expected):
         (SystemParams(0.8, 1e308, -1e308), Interval.I3),
     ],
 )
-def test_band_edge_past_the_largest_double_is_a_typed_error(params, interval):
+def test_band_edge_past_the_largest_double_has_no_roots(params, interval):
     # the edge (about 4e308) overflows to inf: no finite free beta lies above
     # it, so the band holds no root, as the collinear raster labels it
     assert resolved_root_count(params, interval) == ResolvedCount(0)
@@ -500,9 +500,9 @@ def test_band_edge_r4_where_one_minus_mu_rounds_to_one():
 
 
 def test_critical_gap_series_matches_the_solved_root():
-    # above the switch the distance comes from the root of g_tilde at
-    # 1 - mu (exact for this dyadic mu); the series for it must agree,
-    # its next term being about mu relative
+    # above the switch the distance is solved from g_tilde in the
+    # distance itself; the series for it must agree, its next term being
+    # about mu relative
     mu = 2.0**-40
     solved = collinear._critical_gap(mu, 1.0 - mu)
     assert collinear._critical_gap(mu, 1.0) == pytest.approx(solved, rel=1e-9)
