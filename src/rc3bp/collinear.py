@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import TYPE_CHECKING
 
 from . import _brent
@@ -286,7 +286,6 @@ _XR2_C = ((4.0 / 27.0) ** 0.25, 11.0 / (36.0 * math.sqrt(3.0)),
           67.0 / (864.0 * 12.0**0.25), 497.0 / 486.0)
 
 
-@lru_cache(maxsize=256)
 def _xr1(mu: float) -> float:
     """The root of g_tilde(., mu) in (-mu, -mu/3).
 

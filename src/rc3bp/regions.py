@@ -32,6 +32,13 @@ from .triangular import _strict_triangle
 _DEFAULT_RESOLUTION = 512
 _POLYLINE_POINTS = 1024
 
+# Each figure family's window, (x range, y range), shared by its raster and its curves.
+_BETA_WINDOW = ((-5.0, 5.0), (-5.0, 5.0))              # figures 5, 11-13: (beta1, beta2)
+_DELTA_WINDOW = ((0.0, 3.0), (0.0, 3.0))               # figure 6: (delta1, delta2)
+_CONFIGURATION_WINDOW = ((-2.5, 2.5), (-2.5, 2.5))     # figures 7, 16-18: (x, y)
+_STABILITY_MAP_WINDOW = ((0.0, 0.5), (0.0, math.pi))   # figure 15: (mu, gamma)
+_STABILITY_DELTA_WINDOW = ((0.0, 2.0), (0.0, 2.0))     # figures 19-21: (delta1, delta2)
+
 ADMISSIBLE_LEGEND = ("Inadmissible", "Admissible")
 TRIANGULAR_LEGEND = ("NoTriangle", "Inadmissible", "Exists")
 COLLINEAR_LEGEND = ("Inadmissible", "ZeroRoots", "OneRoot", "TwoRoots", "DoubleRoot")
@@ -117,7 +124,7 @@ def _clip_window(points: np.ndarray, x_range, y_range) -> np.ndarray:
 
 
 def admissible_region_raster(
-    x_range=(-5.0, 5.0), y_range=(-5.0, 5.0), resolution=None
+    x_range=_BETA_WINDOW[0], y_range=_BETA_WINDOW[1], resolution=None
 ) -> RegionRaster:
     """(beta1, beta2) cells labeled by the strict constraint (b1-1)(b2-1) < 1."""
     b1, b2 = _grid(x_range, y_range, resolution)
@@ -125,24 +132,21 @@ def admissible_region_raster(
     return _raster(x_range, y_range, labels, ADMISSIBLE_LEGEND, "is_admissible")
 
 
-def _admissibility_branch(x_range, y_range, n: int, upper: bool) -> np.ndarray:
-    """One branch of (b1-1)(b2-1) = 1, window-clipped; b2 = 1 + 1/(b1-1)."""
+def _admissibility_branch(upper: bool) -> np.ndarray:
+    """One branch of b2 = 1 + 1/(b1-1), from the beta window's b2 edge to its b1 edge."""
+    (x_lo, x_hi), (y_lo, y_hi) = _BETA_WINDOW
     if upper:
-        lo = 1.0 + 1.0 / (y_range[1] - 1.0) if y_range[1] > 1.0 else x_range[1]
-        b1 = np.linspace(max(lo, np.nextafter(1.0, 2.0)), x_range[1], n)
+        b1 = np.linspace(1.0 + 1.0 / (y_hi - 1.0), x_hi, _POLYLINE_POINTS)
     else:
-        hi = 1.0 - 1.0 / (1.0 - y_range[0]) if y_range[0] < 1.0 else x_range[0]
-        b1 = np.linspace(x_range[0], min(hi, np.nextafter(1.0, 0.0)), n)
+        b1 = np.linspace(x_lo, 1.0 - 1.0 / (1.0 - y_lo), _POLYLINE_POINTS)
     pts = np.column_stack([b1, 1.0 + 1.0 / (b1 - 1.0)])
-    return _clip_window(pts, x_range, y_range)
+    return _clip_window(pts, *_BETA_WINDOW)    # the lower end rounds to b2 = -5 - ulp
 
 
-def admissible_boundary_polylines(
-    x_range=(-5.0, 5.0), y_range=(-5.0, 5.0), n: int = _POLYLINE_POINTS
-) -> dict[str, np.ndarray]:
+def admissible_boundary_polylines() -> dict[str, np.ndarray]:
     return {
-        "boundary_upper": _admissibility_branch(x_range, y_range, n, upper=True),
-        "boundary_lower": _admissibility_branch(x_range, y_range, n, upper=False),
+        "boundary_upper": _admissibility_branch(upper=True),
+        "boundary_lower": _admissibility_branch(upper=False),
     }
 
 
@@ -150,20 +154,20 @@ def admissible_boundary_polylines(
 # triangular existence (figures 6 and 7)
 
 
-def _triangular_space(space: str, mu: float | None, x_range, y_range):
-    """(mu, x_range, y_range) with the defaults of figure 6 (parameter space,
-    no mu) or figure 7 (configuration space) filled in."""
+def _triangular_space(space: str, mu: float | None):
+    """(mu, window) of figure 6 (parameter space, no mu) or figure 7
+    (configuration space, mu defaulted)."""
     if space == "parameter":
-        return mu, x_range or (0.0, 3.0), y_range or (0.0, 3.0)
+        return mu, _DELTA_WINDOW
     if space == "configuration":
         mu = FIGURE_DEFAULT_MU[7] if mu is None else mu
         _require_mu(mu)
-        return mu, x_range or (-2.5, 2.5), y_range or (-2.5, 2.5)
+        return mu, _CONFIGURATION_WINDOW
     raise ValidationError(f"space must be 'parameter' or 'configuration', got {space!r}")
 
 
 def triangular_region_raster(
-    space: str, mu: float | None = None, x_range=None, y_range=None, resolution=None
+    space: str, mu: float | None = None, resolution=None
 ) -> RegionRaster:
     """Existence of the off-axis pair, in (delta1, delta2) or (x, y) cells.
 
@@ -172,8 +176,8 @@ def triangular_region_raster(
     failed strict triangle inequality, `Inadmissible` a sound triangle
     whose betas violate admissibility.
     """
-    mu, x_range, y_range = _triangular_space(space, mu, x_range, y_range)
-    d1, d2 = _grid(x_range, y_range, resolution)
+    mu, window = _triangular_space(space, mu)
+    d1, d2 = _grid(*window, resolution)
     if space == "parameter":
         predicate = "triangular_exists(delta)"
     else:
@@ -185,7 +189,7 @@ def triangular_region_raster(
     labels = np.zeros(strict.shape, np.int8)                # NoTriangle
     labels[strict & ~admissible] = 1                        # Inadmissible
     labels[strict & admissible] = 2                         # Exists
-    return _raster(x_range, y_range, labels, TRIANGULAR_LEGEND, predicate)
+    return _raster(*window, labels, TRIANGULAR_LEGEND, predicate)
 
 
 def _config_lens_bounds() -> tuple[float, float]:
@@ -198,17 +202,13 @@ def _config_lens_bounds() -> tuple[float, float]:
     return lo, lo + 1.0
 
 
-def triangular_boundary_polylines(
-    space: str,
-    mu: float | None = None,
-    x_range=None,
-    y_range=None,
-    n: int = _POLYLINE_POINTS,
-) -> dict[str, np.ndarray]:
-    mu, x_range, y_range = _triangular_space(space, mu, x_range, y_range)
+def triangular_boundary_polylines(space: str, mu: float | None = None) -> dict[str, np.ndarray]:
+    mu, window = _triangular_space(space, mu)
+    n = _POLYLINE_POINTS
     if space == "parameter":
-        t = np.linspace(x_range[0], x_range[1], n)
-        d1 = np.linspace(np.nextafter(1.0, 2.0), x_range[1], n)
+        (lo, hi), _ = window
+        t = np.linspace(lo, hi, n)
+        d1 = np.linspace(np.nextafter(1.0, 2.0), hi, n)
         curves = {
             "delta2_eq_delta1_plus_1": np.column_stack([t, t + 1.0]),
             "delta2_eq_delta1_minus_1": np.column_stack([t, t - 1.0]),
@@ -224,7 +224,7 @@ def triangular_boundary_polylines(
             "admissibility_upper": np.column_stack([x, y]),
             "admissibility_lower": np.column_stack([x, -y]),
         }
-    return {k: _clip_window(v, x_range, y_range) for k, v in curves.items()}
+    return {k: _clip_window(v, *window) for k, v in curves.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def triangular_boundary_polylines(
 
 
 def collinear_region_raster(
-    interval: Interval, mu: float, x_range=(-5.0, 5.0), y_range=(-5.0, 5.0), resolution=None
+    interval: Interval, mu: float, x_range=_BETA_WINDOW[0], y_range=_BETA_WINDOW[1], resolution=None
 ) -> RegionRaster:
     """(beta1, beta2) cells labeled by the theorem-resolved root count.
 
@@ -269,41 +269,36 @@ def collinear_region_raster(
     return _raster(x_range, y_range, labels, COLLINEAR_LEGEND, predicate)
 
 
-def _tangency_curve(m_near: float, m_far: float, middle: bool, n: int) -> np.ndarray:
+def _tangency_curve(m_near: float, m_far: float, middle: bool) -> np.ndarray:
     """(near beta, far beta) on the tangency curve of the band at the near body: toward
     the far body up to the critical root if `middle` (I2), else outward (near beta -beta*)."""
     if middle:
-        s = -np.linspace(0.0, collinear._critical_gap(m_near, m_far), n)[1:]
-        near = collinear._near_star(s, m_near, m_far)
+        s = -np.linspace(0.0, collinear._critical_gap(m_near, m_far), _POLYLINE_POINTS)[1:]
     else:
-        s = np.geomspace(1e-6, 10.0, n)
-        near = -collinear._near_star(s, m_near, m_far)
-    return np.column_stack([near, collinear._far_star(s, m_far)])
+        s = np.geomspace(1e-6, 10.0, _POLYLINE_POINTS)
+    with np.errstate(over="ignore"):    # beta* / subnormal mass: inf, clipped off the window
+        near = collinear._near_star(s, m_near, m_far)
+        far = collinear._far_star(s, m_far)
+    return np.column_stack([near if middle else -near, far])
 
 
-def collinear_boundary_polylines(
-    interval: Interval,
-    mu: float,
-    x_range=(-5.0, 5.0),
-    y_range=(-5.0, 5.0),
-    n: int = _POLYLINE_POINTS,
-) -> dict[str, np.ndarray]:
+def collinear_boundary_polylines(interval: Interval, mu: float) -> dict[str, np.ndarray]:
     """Tangency curves (band edges, parameterized by x*) and the admissibility branch."""
     _require_mu(mu)
     # body 2's curve is body 1's with the masses swapped and the columns reversed
     if interval is Interval.I1:
-        curves = {"tangency": _tangency_curve(1.0 - mu, mu, False, n)}
+        curves = {"tangency": _tangency_curve(1.0 - mu, mu, False)}
     elif interval is Interval.I2:
         curves = {
-            "tangency_body1": _tangency_curve(1.0 - mu, mu, True, n),
-            "tangency_body2": _tangency_curve(mu, 1.0 - mu, True, n)[::-1, ::-1],
+            "tangency_body1": _tangency_curve(1.0 - mu, mu, True),
+            "tangency_body2": _tangency_curve(mu, 1.0 - mu, True)[::-1, ::-1],
         }
     elif interval is Interval.I3:
-        curves = {"tangency": _tangency_curve(mu, 1.0 - mu, False, n)[:, ::-1]}
+        curves = {"tangency": _tangency_curve(mu, 1.0 - mu, False)[:, ::-1]}
     else:
         raise ValidationError(f"unknown interval {interval!r}")
-    out = {k: _clip_window(v, x_range, y_range) for k, v in curves.items()}
-    out["admissibility"] = _admissibility_branch(x_range, y_range, n, upper=False)
+    out = {k: _clip_window(v, *_BETA_WINDOW) for k, v in curves.items()}
+    out["admissibility"] = _admissibility_branch(upper=False)
     return out
 
 
@@ -331,50 +326,37 @@ def _triangle_stability(mu: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray
     return _classify_f_grid(domain, f)
 
 
-def stability_map_raster(
-    x_range=(0.0, 0.5), y_range=(0.0, math.pi), resolution=None
-) -> RegionRaster:
-    """(mu, gamma) cells labeled by the sign pattern of F (figure 15)."""
-    mu, gam = _grid(x_range, y_range, resolution)
-    f = _discriminant(mu, np.sin(gam) ** 2)
-    domain = np.broadcast_to((mu > 0.0) & (mu <= 0.5), f.shape)
-    labels = _classify_f_grid(domain, f)
-    return _raster(x_range, y_range, labels, STABILITY_LEGEND, "sign(F(mu, gamma))")
+def stability_map_raster(resolution=None) -> RegionRaster:
+    """(mu, gamma) cells labeled by the sign pattern of F (figure 15); every
+    cell center lies inside the domain 0 < mu <= 1/2."""
+    mu, gam = _grid(*_STABILITY_MAP_WINDOW, resolution)
+    labels = _classify_f_grid(True, _discriminant(mu, np.sin(gam) ** 2))
+    return _raster(*_STABILITY_MAP_WINDOW, labels, STABILITY_LEGEND, "sign(F(mu, gamma))")
 
 
-def stability_map_polylines(
-    x_range=(0.0, 0.5), y_range=(0.0, math.pi), n: int = _POLYLINE_POINTS
-) -> dict[str, np.ndarray]:
-    """The two branches of the F = 0 curve, mu in (mu*, 1/2]."""
-    mu_c = critical_mu()
-    mu = np.linspace(mu_c, min(0.5, x_range[1]), n)[1:]
+def stability_map_polylines() -> dict[str, np.ndarray]:
+    """The two branches of the F = 0 curve, mu in (mu*, 1/2], gamma in (0, pi)."""
+    mu = np.linspace(critical_mu(), 0.5, _POLYLINE_POINTS)[1:]
     low = np.array([[m, gamma_mu(float(m))] for m in mu])
     high = np.column_stack([low[:, 0], math.pi - low[:, 1]])
-    return {
-        "F_zero_lower": _clip_window(low, x_range, y_range),
-        "F_zero_upper": _clip_window(high, x_range, y_range),
-    }
+    return {"F_zero_lower": low, "F_zero_upper": high}
 
 
-def configuration_stability_raster(
-    mu: float, x_range=(-2.5, 2.5), y_range=(-2.5, 2.5), resolution=None
-) -> RegionRaster:
+def configuration_stability_raster(mu: float, resolution=None) -> RegionRaster:
     """Restricted configuration space labeled by the stability class (figures 16-18)."""
     _require_mu(mu)
-    rho = _distances(np.hypot, mu, *_grid(x_range, y_range, resolution))
+    rho = _distances(np.hypot, mu, *_grid(*_CONFIGURATION_WINDOW, resolution))
     labels = _triangle_stability(mu, *rho)
     predicate = f"classify_triangular(rho; mu={mu!r})"
-    return _raster(x_range, y_range, labels, STABILITY_LEGEND, predicate)
+    return _raster(*_CONFIGURATION_WINDOW, labels, STABILITY_LEGEND, predicate)
 
 
-def parameter_stability_raster(
-    mu: float, x_range=(0.0, 2.0), y_range=(0.0, 2.0), resolution=None
-) -> RegionRaster:
+def parameter_stability_raster(mu: float, resolution=None) -> RegionRaster:
     """(delta1, delta2) cells labeled by the stability class (figures 19-21)."""
     _require_mu(mu)
-    labels = _triangle_stability(mu, *_grid(x_range, y_range, resolution))
+    labels = _triangle_stability(mu, *_grid(*_STABILITY_DELTA_WINDOW, resolution))
     predicate = f"classify_triangular(delta; mu={mu!r})"
-    return _raster(x_range, y_range, labels, STABILITY_LEGEND, predicate)
+    return _raster(*_STABILITY_DELTA_WINDOW, labels, STABILITY_LEGEND, predicate)
 
 
 # ---------------------------------------------------------------------------

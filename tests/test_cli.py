@@ -200,7 +200,6 @@ def test_brent_non_convergence_exits_3(argv, capsys, tmp_path, monkeypatch):
     # reach the user as a numeric failure, not as a traceback
     monkeypatch.setattr(_brent, "_MAXITER", 1)
     monkeypatch.chdir(tmp_path)
-    collinear._xr1.cache_clear()
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("numeric failure: ") and "Failed to converge" in err

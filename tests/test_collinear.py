@@ -391,7 +391,6 @@ def test_band_edges_need_few_brent_iterations(monkeypatch):
     # an absolute xtol took 97-99 of Brent's 100 iterations on this draw's
     # I2 band; the solves in relative precision fit in 20
     monkeypatch.setattr(_brent, "_MAXITER", 20)
-    collinear._xr1.cache_clear()
     p = SystemParams(6.39e-174, 6.87e220, -4.03e132)
     counts = [resolved_root_count(p, iv) for iv in Interval]
     assert counts == [ResolvedCount(1), ResolvedCount(0), ResolvedCount(2)]

@@ -1,6 +1,7 @@
 """Raster datasets, boundary polylines, stable arcs and ellipses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,30 @@ def test_collinear_polylines_are_double_roots():
                 )
                 scale = max(1.0, abs(b1), abs(b2))
                 assert abs(f_axis(p, x_star)) < 1e-9 * scale, (iv, name, b1, b2)
+
+
+@pytest.mark.parametrize("mu", [1e-320, 5e-324])
+def test_collinear_polylines_at_a_subnormal_mu_are_finite_and_warn_nothing(mu):
+    # beta* divides by the subnormal mass and overflows to inf; those points lie
+    # off the window, and the curves drop them without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = {iv: collinear_boundary_polylines(iv, mu) for iv in Interval}
+    for iv, named in curves.items():
+        for name, pts in named.items():
+            assert pts.shape[1] == 2 and np.all(np.isfinite(pts)), (iv, name)
+    assert len(curves[Interval.I2]["tangency_body1"]) > 20
+
+
+@pytest.mark.parametrize("figure", [5, 6, 7, 11, 12, 13, 15])
+def test_figure_polylines_lie_inside_the_raster_window(figure):
+    # a figure's raster and its boundary curves share one window
+    d = figure_dataset(figure, resolution=8)
+    (x_lo, x_hi), (y_lo, y_hi) = d.parameters["x_range"], d.parameters["y_range"]
+    for name, pts in d.curves["polylines"].items():
+        assert len(pts) > 20, name
+        assert np.all((x_lo <= pts[:, 0]) & (pts[:, 0] <= x_hi)), name
+        assert np.all((y_lo <= pts[:, 1]) & (pts[:, 1] <= y_hi)), name
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -1.0, 0.0, 1.0, 5.0])
