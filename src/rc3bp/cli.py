@@ -23,7 +23,6 @@ and `integrate` starts without numpy.
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import math
 import os
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import NumericError, Rc3bpError, ValidationError
-from .params import SystemParams
+from .params import MAX_CSV_ROWS, SystemParams
 
 if TYPE_CHECKING:
     from . import regions
@@ -43,14 +42,10 @@ def _fmt(v: float) -> str:
 
 
 def _json_default(obj):
-    if isinstance(obj, enum.Enum):
-        return obj.value
     import numpy as np
 
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
@@ -247,15 +242,17 @@ def _cmd_integrate(args) -> int:
                 f"--every and --t-end must be positive and finite, got {args.every!r} and "
                 f"{args.t_end!r}"
             )
-        if not args.t_end / args.every < math.inf:
+        # the multiples of --every up to --t-end, then --t-end where they fall short of it
+        n = math.floor(min(args.t_end / args.every + 1e-9, MAX_CSV_ROWS))
+        tail = n * args.every < args.t_end - 1e-12 * max(1.0, args.t_end)
+        if n + 1 + tail > MAX_CSV_ROWS:
             raise ValidationError(
-                f"--t-end / --every = {args.t_end!r} / {args.every!r} overflows the sample count"
+                f"--t-end / --every = {args.t_end!r} / {args.every!r} asks for more than "
+                f"MAX_CSV_ROWS = {MAX_CSV_ROWS} samples"
             )
-        n = math.floor(args.t_end / args.every + 1e-9)
-        times = [i * args.every for i in range(n + 1)]
-        if times[-1] < args.t_end - 1e-12 * max(1.0, args.t_end):
-            times.append(args.t_end)
-        sample_times = times
+        sample_times = [i * args.every for i in range(n + 1)]
+        if tail:
+            sample_times.append(args.t_end)
     traj = dynamics.integrate(params, state, args.t_end, tol=args.tol, sample_times=sample_times)
     lines = ["t,x,y,px,py,H\n"]
     for i in range(len(traj.t)):

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from . import _brent
 from .errors import AtPrimary, AxisOutOfRange, InadmissibleParams, NotOnLimitLocus
-from .errors import RootNotBracketed
+from .errors import RootNotBracketed, ValidationError
 from .params import SystemParams, _limit_line, _require_folded_mu, _require_mu, is_admissible
 
 if TYPE_CHECKING:
@@ -102,16 +102,6 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
         return _brent.brentq(f, a, b, xtol)
     except RuntimeError as exc:
         raise RootNotBracketed(f"Brent's method stopped short of the root: {exc}") from None
-
-
-def interval_of(mu: float, x: float) -> Interval:
-    if x == -mu or x == 1.0 - mu:
-        raise AtPrimary(f"x = {x!r} is a primary abscissa")
-    if x < -mu:
-        return Interval.I1
-    if x < 1.0 - mu:
-        return Interval.I2
-    return Interval.I3
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +213,7 @@ def _one_root(near, free, middle: bool):
     """Whether an admissible pair has one root outside the concave bands: where
     the near beta is positive (in I2, `middle`, the free one too), or 0 with the
     free beta below 1 in I2 and above 1 beyond the near body. Floats or numpy
-    arrays; `collinear_region_raster` labels by it."""
+    arrays; `_root_label` labels by it."""
     if middle:
         return ((near > 0.0) & (free > 0.0)) | ((near == 0.0) & (free < 1.0))
     return (near > 0.0) | ((near == 0.0) & (free > 1.0))
@@ -249,16 +239,6 @@ def _near_star(s, m_near: float, m_far: float):
 def _far_star(s, m_far: float):
     """The far body's beta*: (3s + 2 m_far)(1 + s)^3 / (2 m_far)."""
     return (3.0 * s + 2.0 * m_far) * (1.0 + s) ** 3 / (2.0 * m_far)
-
-
-def beta1_star(x_star: float | np.ndarray, mu: float):
-    """(3x+mu-1)(x+mu)**3 / (2(1-mu))."""
-    return _near_star(-(x_star + mu), 1.0 - mu, mu)
-
-
-def beta2_star(x_star: float | np.ndarray, mu: float):
-    """(3x+mu)(x+mu-1)**3 / (2 mu)."""
-    return _far_star(-(x_star + mu), mu)
 
 
 def g_tilde(x_star: float | np.ndarray, mu: float):
@@ -374,6 +354,10 @@ def _critical_gap(m_near: float, m_far: float) -> float:
 # scale; comparing the other beta against its curve value decides the count.
 # Body 2's bands are body 1's with the masses swapped.
 
+COLLINEAR_LEGEND = ("Inadmissible", "ZeroRoots", "OneRoot", "TwoRoots", "DoubleRoot")
+# the count each label but Inadmissible stands for
+_COUNT_OF_LABEL = (None, ResolvedCount(0), ResolvedCount(1), ResolvedCount(2), ResolvedCount(1, True))
+
 
 def _outer_band_edge(m_near: float, m_far: float, beta_near: float, band: str) -> float:
     """The far beta closing the band beyond the near body (see band_edge_i1)."""
@@ -448,14 +432,39 @@ def band_edge_i2_r4(mu: float, beta2: float) -> float | None:
     return _middle_band_edge(mu, 1.0 - mu, beta2)
 
 
-def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCount:
-    """Exact expected root count, with tangencies resolved.
+def _bands(interval: Interval, b1, b2) -> tuple:
+    """The concave bands of `interval`, each as (near beta, free beta, edge), where
+    edge(mu, near) is the free beta closing the band. Body 2's bands are body 1's
+    with the betas swapped. The edges are looked up on the module at each call, so
+    that a wrapper put on a band_edge_* function sees every edge."""
+    if interval is Interval.I1:
+        return ((b1, b2, band_edge_i1),)
+    if interval is Interval.I2:
+        return ((b1, b2, band_edge_i2_s2), (b2, b1, band_edge_i2_r4))
+    if interval is Interval.I3:
+        return ((b2, b1, band_edge_i3),)
+    raise ValidationError(f"unknown interval {interval!r}")
 
-    Refines `predicted_root_count` into {0, 1, 2, one-double} by locating
-    the tangency abscissa x^ for the concave pairs and comparing the free
-    beta against the curve value there. `find_in_interval` solves for
-    exactly this many roots.
-    """
+
+def _root_label(near, free, edge, middle: bool):
+    """The COLLINEAR_LEGEND index of an admissible pair on one band of `_bands`
+    (floats or numpy arrays). `edge` closes the band at `near`: NaN where there
+    is none, as at a near beta >= 0, and inf past the largest double. OneRoot
+    where `_one_root` says so, TwoRoots strictly inside the band (below the edge
+    in I2, `middle`, above it beyond the near body), DoubleRoot where the free
+    beta is within _BAND_EDGE_RTOL * max(1, |edge|) of the edge, else ZeroRoots."""
+    depth = edge - free if middle else free - edge
+    tol = _BAND_EDGE_RTOL * abs(edge)
+    inside = (depth > _BAND_EDGE_RTOL) & (depth > tol)
+    off = abs(depth)
+    on_edge = ((off <= _BAND_EDGE_RTOL) | (off <= tol)) & (tol < math.inf)
+    return 1 + _one_root(near, free, middle) + 2 * inside + 3 * on_edge
+
+
+def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCount:
+    """Exact expected root count, with tangencies resolved: `predicted_root_count`
+    refined into {0, 1, 2, one-double} by `_root_label` on the concave pairs.
+    `find_in_interval` solves for exactly this many roots."""
     prediction = predicted_root_count(params, interval)
     if prediction in (PredictedCount.EXACTLY_ONE, PredictedCount.ONE_CONDITIONAL):
         return ResolvedCount(1)
@@ -463,28 +472,11 @@ def resolved_root_count(params: SystemParams, interval: Interval) -> ResolvedCou
         # ZERO, or UNSPECIFIED: beta = 1 on an axis region puts the would-be root
         # exactly on the excluded primary abscissa, so the open interval holds none
         return ResolvedCount(0)
-
-    # S2, the only concave region with beta1 < 0, has its bands at body 1; R'4 at body 2
-    body1 = params.beta1 < 0.0
-    near, free = _near_free(params, interval)
-    if interval is Interval.I2:
-        edge = (band_edge_i2_s2 if body1 else band_edge_i2_r4)(params.mu, near)
-    else:
-        edge = (band_edge_i1 if body1 else band_edge_i3)(params.mu, near)
-    if edge is None or math.isinf(edge):
-        # no band, or an outer edge past the largest double: no finite free beta is beyond it
-        return ResolvedCount(0)
-    # two roots strictly inside the band, a double on its edge, zero outside
-    depth = edge - free if interval is Interval.I2 else free - edge
-    if _on_band_edge(depth, edge):
-        return ResolvedCount(1, double=True)
-    return ResolvedCount(2) if depth > 0.0 else ResolvedCount(0)
-
-
-def _on_band_edge(depth, edge):
-    """Whether the free beta, `depth` into the band closed by `edge`, sits on
-    the edge: |depth| <= _BAND_EDGE_RTOL * max(1, |edge|). Floats or arrays."""
-    return (abs(depth) <= _BAND_EDGE_RTOL) | (abs(depth) <= _BAND_EDGE_RTOL * abs(edge))
+    for near, free, edge_of in _bands(interval, params.beta1, params.beta2):
+        if near < 0.0:     # on one band alone, where the near body repels
+            edge = edge_of(params.mu, near)
+            edge = math.nan if edge is None else edge
+            return _COUNT_OF_LABEL[_root_label(near, free, edge, interval is Interval.I2)]
 
 
 # ---------------------------------------------------------------------------

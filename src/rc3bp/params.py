@@ -17,6 +17,11 @@ from dataclasses import dataclass, fields
 from .errors import NonpositiveMass, ValidationError, ZeroThirdCharge
 
 
+# The most data rows one CSV may hold: the cells of a raster, or the samples of
+# `integrate --every`. A larger request is refused before it is allocated.
+MAX_CSV_ROWS = 4096 * 4096
+
+
 def is_admissible(beta1: float, beta2: float) -> bool:
     """Strict admissibility test (beta1 - 1)(beta2 - 1) < 1.
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import collinear
-from .collinear import Interval
+from .collinear import COLLINEAR_LEGEND, Interval
 from .dynamics import _distances
 from .errors import DegenerateGamma, ValidationError
-from .params import _require_folded_mu, _require_mu, is_admissible
+from .params import MAX_CSV_ROWS, _require_folded_mu, _require_mu, is_admissible
 from .stability import StabilityClass, _cos_gamma, _discriminant, _stability_index
 from .stability import critical_mu, gamma_mu
 from .triangular import _strict_triangle
@@ -41,7 +41,6 @@ _STABILITY_DELTA_WINDOW = ((0.0, 2.0), (0.0, 2.0))     # figures 19-21: (delta1,
 
 ADMISSIBLE_LEGEND = ("Inadmissible", "Admissible")
 TRIANGULAR_LEGEND = ("NoTriangle", "Inadmissible", "Exists")
-COLLINEAR_LEGEND = ("Inadmissible", "ZeroRoots", "OneRoot", "TwoRoots", "DoubleRoot")
 STABILITY_LEGEND = ("OutsideDomain", *(c.value for c in StabilityClass))
 
 # figure number -> default mass ratio, where one applies
@@ -103,9 +102,14 @@ def _resolution(resolution) -> tuple[int, int]:
     if resolution is None:
         return (_DEFAULT_RESOLUTION, _DEFAULT_RESOLUTION)
     nx, ny = (resolution, resolution) if isinstance(resolution, int) else resolution
-    if int(nx) < 2 or int(ny) < 2:
+    nx, ny = int(nx), int(ny)
+    if nx < 2 or ny < 2:
         raise ValidationError(f"resolution must be >= 2 per axis, got {resolution!r}")
-    return (int(nx), int(ny))
+    if nx * ny > MAX_CSV_ROWS:
+        raise ValidationError(
+            f"resolution {resolution!r} gives {nx * ny} cells, more than MAX_CSV_ROWS = {MAX_CSV_ROWS}"
+        )
+    return (nx, ny)
 
 
 def _clip_window(points: np.ndarray, x_range, y_range) -> np.ndarray:
@@ -236,35 +240,21 @@ def collinear_region_raster(
 ) -> RegionRaster:
     """(beta1, beta2) cells labeled by the theorem-resolved root count.
 
-    The simple regions are labeled directly; the concave (region,
-    interval) pairs compare the free beta against the band edge, computed
-    once per grid line since each edge depends on the near body's beta.
+    Each band of the interval labels its cells by `collinear._root_label`,
+    with the band edge computed once per grid line, since it depends on
+    the near body's beta alone.
     """
     _require_folded_mu(mu)
     b1, b2 = _grid(x_range, y_range, resolution)
-    # (near beta, free beta, edge) per band: body 2's are body 1's with the beta axes
-    # swapped. Looked up per call, so that wrappers put on `collinear` see every edge.
-    bands = {
-        Interval.I1: [(b1, b2, collinear.band_edge_i1)],
-        Interval.I2: [(b1, b2, collinear.band_edge_i2_s2), (b2, b1, collinear.band_edge_i2_r4)],
-        Interval.I3: [(b2, b1, collinear.band_edge_i3)],
-    }.get(interval)
-    if bands is None:
-        raise ValidationError(f"unknown interval {interval!r}")
-    middle = interval is Interval.I2
-    adm = is_admissible(b1, b2)
-    labels = adm.astype(np.int8)                           # ZeroRoots until shown otherwise
-    for near, free, edge_of in bands:
-        labels[adm & collinear._one_root(near, free, middle)] = 2    # OneRoot
+    labels = 1                                                 # ZeroRoots
+    for near, free, edge_of in collinear._bands(interval, b1, b2):
         edges = np.full(near.shape, np.nan)                    # NaN: no band
         for j in np.flatnonzero(near < 0.0):
             e = edge_of(mu, float(near.flat[j]))
             edges.flat[j] = np.nan if e is None else e
-        # two roots below the edge in I2, above it beyond the near body
-        depth = edges - free if middle else free - edges
-        band = adm & (near < 0.0) & np.isfinite(edges)
-        labels[band & (depth > 0.0)] = 3                       # TwoRoots
-        labels[band & collinear._on_band_edge(depth, edges)] = 4  # DoubleRoot, over TwoRoots
+        # a cell's count is its largest band label: where admissible, labels above ZeroRoots agree
+        labels = np.maximum(labels, collinear._root_label(near, free, edges, interval is Interval.I2))
+    labels = np.where(is_admissible(b1, b2), labels, 0).astype(np.int8)
     predicate = f"resolved_root_count[{interval.value}; mu={mu!r}]"
     return _raster(x_range, y_range, labels, COLLINEAR_LEGEND, predicate)
 

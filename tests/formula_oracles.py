@@ -8,7 +8,29 @@ import math
 
 import numpy as np
 
+from rc3bp.collinear import Interval
 from rc3bp.errors import AtPrimary
+
+
+def interval_of(mu: float, x: float) -> Interval:
+    """The axis interval holding x; AtPrimary at a primary abscissa."""
+    if x == -mu or x == 1.0 - mu:
+        raise AtPrimary(f"x = {x!r} is a primary abscissa")
+    if x < -mu:
+        return Interval.I1
+    if x < 1.0 - mu:
+        return Interval.I2
+    return Interval.I3
+
+
+def beta1_star(x_star, mu: float):
+    """The tangency value of beta1: (3x+mu-1)(x+mu)**3 / (2(1-mu))."""
+    return (3.0 * x_star + mu - 1.0) * (x_star + mu) ** 3 / (2.0 * (1.0 - mu))
+
+
+def beta2_star(x_star, mu: float):
+    """The tangency value of beta2: (3x+mu)(x+mu-1)**3 / (2 mu)."""
+    return (3.0 * x_star + mu) * (x_star + mu - 1.0) ** 3 / (2.0 * mu)
 
 
 def f_axis_unreduced(params, x: float) -> float:

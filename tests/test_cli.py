@@ -4,6 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -498,6 +501,79 @@ def test_integrate_rejects_bad_state(capsys):
               "--state", "1,2,3", "--t-end", "1"])
     assert exc.value.code == 2
     assert "--state" in capsys.readouterr().err
+
+
+def test_integrate_out_writes_the_stdout_bytes(tmp_path, capsys):
+    argv = ["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+            "--state", "0.3,0.8,-0.8,0.3", "--t-end", "1", "--every", "0.25"]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "trajectory.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and path.read_bytes() == stdout.encode()
+    assert json.loads(out) == {"out": str(path), "samples": 5, "reason": "completed"}
+
+
+def test_integrate_every_ends_with_a_sample_at_t_end(capsys):
+    # 0.3 does not divide 1: the multiples of --every stop at 3 * 0.3, and
+    # --t-end itself is the last sample
+    code, out, _ = run(
+        capsys, "integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+        "--state", "0.3,0.8,-0.8,0.3", "--t-end", "1", "--every", "0.3",
+    )
+    assert code == 0
+    times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert times == [0.0, 0.3, 2 * 0.3, 3 * 0.3, 1.0]
+
+
+def test_point_of_the_wrong_length_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--mu", "0.2", "--beta1", "1", "--beta2", "1", "--point", "0.5,0.5,0"])
+    assert exc.value.code == 2
+    assert "expected x,y but got '0.5,0.5,0'" in capsys.readouterr().err
+
+
+def _run_capped(cwd, *argv: str) -> subprocess.CompletedProcess:
+    """`rc3bp *argv` in a fresh interpreter whose address space is capped at
+    2 GiB, so that an unbounded allocation fails at once instead of growing."""
+    code = "\n".join(
+        [
+            "import resource, sys",
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)",
+            "cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(hard, 2 << 30)",
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))",
+            "from rc3bp.cli import main",
+            "sys.exit(main(sys.argv[1:]))",
+        ]
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # t_end / every = 1e299 is finite, but no list of that many samples fits
+        (["integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1", "--state", "0.5,0.5,0,0",
+          "--t-end", "0.1", "--every", "1e-300"],
+         "--t-end / --every = 0.1 / 1e-300 asks for more than MAX_CSV_ROWS = 16777216 samples"),
+        # 1e10 cells: a 74.5 GiB float raster
+        (["regions", "--figure", "5", "--resolution", "100000", "--out", "fig"],
+         "resolution 100000 gives 10000000000 cells, more than MAX_CSV_ROWS = 16777216"),
+        (["reproduce-all", "--resolution", "100000", "--out", "."],
+         "resolution 100000 gives 10000000000 cells, more than MAX_CSV_ROWS = 16777216"),
+        (["regions", "--figure", "11", "--resolution", "4097", "--out", "fig"],
+         "resolution 4097 gives 16785409 cells, more than MAX_CSV_ROWS = 16777216"),
+    ],
+)
+def test_outputs_past_the_row_bound_exit_two_before_allocating(argv, message, tmp_path):
+    proc = _run_capped(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_reproduce_all_manifest_complete_and_checksummed(tmp_path, capsys):

@@ -18,8 +18,6 @@ from rc3bp.collinear import (
     band_edge_i2_r4,
     band_edge_i2_s2,
     band_edge_i3,
-    beta1_star,
-    beta2_star,
     classify_region,
     critical_roots,
     critical_roots_series,
@@ -28,7 +26,6 @@ from rc3bp.collinear import (
     find_collinear,
     find_in_interval,
     g_tilde,
-    interval_of,
     limit_collinear,
     mirror,
     predicted_root_count,
@@ -37,7 +34,13 @@ from rc3bp.collinear import (
 from rc3bp.errors import AtPrimary, AxisOutOfRange, InadmissibleParams, NotOnLimitLocus
 from rc3bp.errors import RootNotBracketed
 from rc3bp.params import SystemParams
-from formula_oracles import f_axis_unreduced, g_tilde_zero_mu
+from formula_oracles import (
+    beta1_star,
+    beta2_star,
+    f_axis_unreduced,
+    g_tilde_zero_mu,
+    interval_of,
+)
 from scan_oracle import scan_in_interval
 
 
@@ -359,16 +362,37 @@ def test_finder_errors_where_the_root_is_closer_than_an_ulp_to_a_primary():
 
 @pytest.mark.parametrize("edge", [0.25, -0.5, 1.0, -1.0, 3.0, -1e10])
 def test_on_band_edge_boundary_matches_the_max_form(edge):
-    # the tolerance is relative to max(1, |edge|): one ulp inside it is a
-    # double root, one ulp outside is not
+    # the tolerance is relative to max(1, |edge|): of the free betas within
+    # a few ulp of edge -+ tol, exactly those up to tol from the edge are a
+    # double root; the others are two roots inside the band, none outside
     tol = collinear._BAND_EDGE_RTOL * max(1.0, abs(edge))
-    depths = [math.nextafter(tol, 0.0), tol, math.nextafter(tol, math.inf)]
-    depths += [-d for d in depths]
-    expected = [abs(d) <= collinear._BAND_EDGE_RTOL * max(1.0, abs(edge)) for d in depths]
-    assert expected == [True, True, False] * 2
-    assert [bool(collinear._on_band_edge(d, edge)) for d in depths] == expected
-    got = collinear._on_band_edge(np.array(depths), np.full(len(depths), edge))
-    assert got.tolist() == expected
+    frees = []
+    for end in (edge - tol, edge + tol):
+        lo = end
+        for _ in range(4):
+            lo = math.nextafter(lo, -math.inf)
+        for _ in range(9):
+            frees.append(lo)
+            lo = math.nextafter(lo, math.inf)
+    for middle in (False, True):
+        expected = []
+        for free in frees:
+            depth = edge - free if middle else free - edge      # exact: free is next to edge
+            expected.append(4 if abs(depth) <= tol else 3 if depth > 0.0 else 1)
+        assert expected.count(4) > 2 and expected.count(3) > 2 and expected.count(1) > 2
+        assert [collinear._root_label(-1.0, f, edge, middle) for f in frees] == expected
+        got = collinear._root_label(-1.0, np.array(frees), np.full(len(frees), edge), middle)
+        assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("edge", [math.nan, math.inf])
+def test_root_label_without_a_finite_edge(edge):
+    # NaN is no band and inf an outer edge past the largest double: zero
+    # roots at a negative near beta, and one at a positive one
+    assert collinear._root_label(-1.0, 3.0, edge, False) == 1
+    assert collinear._root_label(0.5, 3.0, edge, False) == 2
+    got = collinear._root_label(np.array([-1.0, 0.5]), 3.0, np.full(2, edge), False)
+    assert got.tolist() == [1, 2]
 
 
 def test_band_edge_none_when_band_is_empty():

@@ -183,6 +183,22 @@ def test_integrate_stops_near_collision():
     assert traj.t[-1] < 5.0
 
 
+def test_integrate_sampled_run_ends_at_the_collision_event():
+    # the samples the solver reached, then the event state: the trajectory
+    # ends where the run stopped, not at the last sample before it
+    p = SystemParams(0.5, 1.0, 1.0)
+    times = [0.05 * i for i in range(101)]
+    traj = integrate(p, equilibrium_state(p, 0.45, 0.0), 5.0, tol=1e-10,
+                     sample_times=times, collision_radius=1e-3)
+    assert traj.reason == "collision-approach"
+    k = traj.t.size - 1
+    assert 0 < k < len(times) and traj.t[:k].tolist() == times[:k]
+    assert times[k - 1] < traj.t[-1] < times[k]
+    r1, r2 = primary_distances(0.5, traj.states[-1, 0], traj.states[-1, 1])
+    assert min(r1, r2) == pytest.approx(1e-3, abs=1e-5)
+    assert traj.states.shape == (k + 1, 4) and traj.energy.shape == (k + 1,)
+
+
 def test_integrate_with_no_sample_times_is_empty():
     traj = integrate(SystemParams(0.2, 1.0, 1.0), PhaseState(0.3, 0.8, -0.8, 0.3), 1.0,
                      sample_times=[])

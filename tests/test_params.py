@@ -76,6 +76,13 @@ def test_reduce_rejects_zero_q3_and_bad_masses():
         PhysicalSystem(1.0, -2.0, 0.0, 1.0, 1.0, 1.0)
 
 
+def test_negative_test_particle_mass_is_rejected():
+    # m3 = 0 is the restricted limit; below it there is no particle
+    message = r"^test-particle mass must be nonnegative, got m3=-1e-300$"
+    with pytest.raises(NonpositiveMass, match=message):
+        PhysicalSystem(1.0, 0.5, -1e-300, 0.2, 0.1, 1.0)
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

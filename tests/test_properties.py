@@ -10,6 +10,7 @@ from rc3bp import collinear
 from rc3bp.collinear import Interval, PredictedCount
 from rc3bp.errors import Rc3bpError
 from rc3bp.params import SystemParams, is_admissible
+from formula_oracles import interval_of
 
 # root counts (a double root counted twice) each prediction allows
 _ALLOWED = {
@@ -48,7 +49,7 @@ def test_find_collinear_is_consistent_or_raises_a_typed_error(mu, beta1, beta2):
     for iv in Interval:
         mine = [r for r in roots if r.interval is iv]
         for r in mine:
-            assert math.isfinite(r.x) and collinear.interval_of(mu, r.x) is iv
+            assert math.isfinite(r.x) and interval_of(mu, r.x) is iv
         prediction = collinear.predicted_root_count(p, iv)
         if prediction is PredictedCount.UNSPECIFIED:
             continue

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rc3bp import collinear
+from rc3bp import collinear, regions
 from rc3bp.collinear import (
     Interval,
     band_edge_i3,
@@ -226,6 +226,51 @@ def test_collinear_raster_on_the_axes_matches_the_theorems():
                         continue
                     rc = resolved_root_count(SystemParams(mu, b1, b2), iv)
                     assert r.labels[j, i] == (4 if rc.double else rc.count + 1), (mu, iv, b1, b2)
+
+
+@pytest.mark.parametrize(
+    "interval, name, near_window",
+    [
+        (Interval.I1, "band_edge_i1", (-0.75, -0.25)),          # S2: beta1 near, beta2 free
+        (Interval.I2, "band_edge_i2_s2", (-0.001, 0.0)),
+        (Interval.I2, "band_edge_i2_r4", (-0.1, 0.0)),          # R'4: beta2 near, beta1 free
+        (Interval.I3, "band_edge_i3", (-0.75, -0.25)),
+    ],
+)
+def test_collinear_raster_matches_resolved_count_across_band_edges(interval, name, near_window):
+    # two grid lines of near betas; along the first, free betas within 7 ulp
+    # of its band edge and of the edge -+ the double-root tolerance, where
+    # the label changes. Every cell, DoubleRoot included, is labeled as
+    # resolved_root_count counts its center.
+    mu = 0.2
+    body1 = name in ("band_edge_i1", "band_edge_i2_s2")
+    near = float(regions._centers(near_window, 2)[0])
+    edge = getattr(collinear, name)(mu, near)
+    tol = collinear._BAND_EDGE_RTOL * max(1.0, abs(edge))
+    at_edge = set()
+    for target in (edge - tol, edge, edge + tol):
+        free_window = (target - 8.0 * math.ulp(target), target + 8.0 * math.ulp(target))
+        if body1:
+            r = collinear_region_raster(interval, mu, near_window, free_window, resolution=(2, 8))
+        else:
+            r = collinear_region_raster(interval, mu, free_window, near_window, resolution=(8, 2))
+        xs, ys = r.x_centers(), r.y_centers()
+        for j, b2 in enumerate(ys):
+            for i, b1 in enumerate(xs):
+                rc = resolved_root_count(SystemParams(mu, float(b1), float(b2)), interval)
+                assert r.labels[j, i] == (4 if rc.double else rc.count + 1), (target, b1, b2)
+                if (b1 if body1 else b2) == near:
+                    at_edge.add(int(r.labels[j, i]))
+    assert at_edge == {1, 3, 4}
+
+
+def test_resolution_is_bounded_by_the_csv_rows():
+    # the bound is on cells, nx * ny, whatever the shape
+    assert regions._resolution(4096) == (4096, 4096)
+    assert regions._resolution((2, 2**23)) == (2, 2**23)
+    for resolution in (4097, (2, 2**23 + 1), (10**9, 10**9)):
+        with pytest.raises(ValidationError, match="more than MAX_CSV_ROWS = 16777216"):
+            regions._resolution(resolution)
 
 
 def test_collinear_polylines_are_double_roots():

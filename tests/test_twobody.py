@@ -96,6 +96,21 @@ def test_radial_momentum_turning_point_and_signs():
     ) == pytest.approx(ks, rel=1e-12)
 
 
+def test_radial_momentum_clamps_just_inside_the_turning_point():
+    # a few ulp inside rho_star the radicand is negative by rounding alone:
+    # it is clamped to zero, while deep inside the forbidden region is None
+    cfg = TwoBodyConfig(2.0, 1.0, 2.0, 2.0)    # C = -2
+    ks, l = 1.3, 0.9
+    rho = hyperbolic_orbit(cfg, ks, l).rho_star
+    for _ in range(64):
+        if effective_potential(rho, l, cfg.mu_red, cfg.C) > ks:
+            break
+        rho = math.nextafter(rho, 0.0)
+    assert 2.0 * cfg.mu_red * (ks - effective_potential(rho, l, cfg.mu_red, cfg.C)) < 0.0
+    assert radial_momentum(rho, ks, l, cfg.mu_red, cfg.C) == (0.0, 0.0)
+    assert radial_momentum(0.99 * rho, ks, l, cfg.mu_red, cfg.C) is None
+
+
 def test_orbit_rejects_bad_inputs():
     attractive = TwoBodyConfig(1.0, 1.0, 0.1, 0.1)
     with pytest.raises(NotRepulsive):
