@@ -277,6 +277,7 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
     """Regenerate every figure dataset into out_dir and write the manifest."""
     from . import regions
 
+    regions._resolution(resolution)    # a bad resolution creates no directory
     os.makedirs(out_dir, exist_ok=True)
 
     entries: list[dict] = []

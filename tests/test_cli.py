@@ -576,6 +576,22 @@ def test_outputs_past_the_row_bound_exit_two_before_allocating(argv, message, tm
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "resolution, message",
+    [
+        ("1", "resolution must be >= 2 per axis, got 1"),
+        ("100000", "resolution 100000 gives 10000000000 cells, more than MAX_CSV_ROWS = 16777216"),
+    ],
+)
+def test_reproduce_all_with_a_bad_resolution_creates_no_directory(
+    resolution, message, tmp_path, capsys
+):
+    out_dir = tmp_path / "figs"
+    code, out, err = run(capsys, "reproduce-all", "--resolution", resolution, "--out", str(out_dir))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_reproduce_all_manifest_complete_and_checksummed(tmp_path, capsys):
     out_dir = tmp_path / "data"
     code, out, _ = run(

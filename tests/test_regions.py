@@ -1,6 +1,7 @@
 """Raster datasets, boundary polylines, stable arcs and ellipses."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from rc3bp.collinear import (
     f_axis_prime,
     resolved_root_count,
 )
+from rc3bp.dynamics import primary_distances
 from rc3bp.errors import DegenerateGamma, ValidationError
 from rc3bp.params import SystemParams, is_admissible
 from rc3bp.regions import (
@@ -36,6 +38,7 @@ from rc3bp.regions import (
     triangular_boundary_polylines,
     triangular_region_raster,
 )
+from rc3bp.stability import _discriminant, _stability_index, f_stability
 from rc3bp.triangular import triangular_points
 from formula_oracles import ellipse_point
 from scan_oracle import scan_in_interval
@@ -463,3 +466,124 @@ def test_figure_dataset_defaults_and_validation():
     ds = figure_dataset(18, mu=0.3, resolution=16)
     assert ds.parameters["mu"] == 0.3
     assert "stable_region" in ds.curves
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+
+
+def _triangle_label(d1, d2):
+    """TRIANGULAR_LEGEND index of one (d1, d2) cell, in Python floats."""
+    if not (d1 > 0.0 and d2 > 0.0 and d1 + d2 > 1.0 and abs(d1 - d2) < 1.0):
+        return 0
+    return 2 if is_admissible(d1**3, d2**3) else 1
+
+
+def _triangle_stability_label(mu, r1, r2):
+    """STABILITY_LEGEND index of the triangle (r1, r2, 1), in Python floats."""
+    if not (r1 > 0.0 and r2 > 0.0 and is_admissible(r1**3, r2**3)):
+        return 0
+    c = (1.0 - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
+    return 0 if abs(c) > 1.0 else 1 + _stability_index(_discriminant(mu, 1.0 - c * c))
+
+
+def _collinear_label(interval, b1, b2):
+    if not is_admissible(b1, b2):
+        return 0
+    rc = resolved_root_count(SystemParams(0.2, b1, b2), interval)
+    return 4 if rc.double else rc.count + 1
+
+
+# each raster builder, as (build(resolution), label of the cell centered at (x, y))
+_BUILDERS = {
+    "admissible": (
+        lambda res: admissible_region_raster(resolution=res),
+        lambda b1, b2: int(is_admissible(b1, b2)),
+    ),
+    "triangular-parameter": (
+        lambda res: triangular_region_raster("parameter", resolution=res),
+        _triangle_label,
+    ),
+    "triangular-configuration": (
+        lambda res: triangular_region_raster("configuration", mu=0.3, resolution=res),
+        lambda x, y: _triangle_label(*primary_distances(0.3, x, y)),
+    ),
+    **{
+        f"collinear-{iv.value}": (
+            lambda res, iv=iv: collinear_region_raster(iv, 0.2, resolution=res),
+            lambda b1, b2, iv=iv: _collinear_label(iv, b1, b2),
+        )
+        for iv in Interval
+    },
+    "stability-map": (
+        lambda res: stability_map_raster(resolution=res),
+        lambda mu, gamma: 1 + _stability_index(f_stability(mu, gamma)),
+    ),
+    "configuration-stability": (
+        lambda res: configuration_stability_raster(0.25, resolution=res),
+        lambda x, y: _triangle_stability_label(0.25, *primary_distances(0.25, x, y)),
+    ),
+    "parameter-stability": (
+        lambda res: parameter_stability_raster(0.25, resolution=res),
+        lambda d1, d2: _triangle_stability_label(0.25, d1, d2),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "resolution, blocks",
+    [
+        ((7, 5), [5]),                                   # fewer rows than one block
+        ((64, 33), [33]),
+        ((512, 37), [32, 5]),                            # ny not a multiple of the block rows
+        ((100, 500), [163, 163, 163, 11]),
+        ((20000, 3), [1, 1, 1]),                         # nx above the cell budget: one row a block
+        ((3, 20000), [5461, 5461, 5461, 3617]),
+    ],
+    ids=["7x5", "64x33", "512x37", "100x500", "20000x3", "3x20000"],
+)
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_row_blocks_label_as_the_whole_grid_and_the_scalar_api(name, resolution, blocks, monkeypatch):
+    build, cell_label = _BUILDERS[name]
+    nx, ny = resolution
+    rows = []
+    label_blocks = regions._label_blocks
+
+    def spy(x_range, y_range, res, label, *rest):
+        def counted(x, y, block):
+            rows.append(len(y))
+            return label(x, y, block)
+
+        return label_blocks(x_range, y_range, res, counted, *rest)
+
+    monkeypatch.setattr(regions, "_label_blocks", spy)
+    blocked = build(resolution)
+    assert rows == blocks
+    monkeypatch.setattr(regions, "_BLOCK_CELLS", nx * ny)      # the whole grid in one block
+    whole = build(resolution)
+    assert rows[len(blocks):] == [ny]
+    assert blocked.labels.dtype == np.int8 and blocked.labels.shape == (ny, nx)
+    assert np.array_equal(blocked.labels, whole.labels)
+
+    xs, ys = blocked.x_centers(), blocked.y_centers()
+    rng = np.random.default_rng(resolution)
+    for j, i in zip(rng.integers(ny, size=40), rng.integers(nx, size=40)):
+        want = cell_label(float(xs[i]), float(ys[j]))
+        assert blocked.labels[j, i] == want, (name, resolution, i, j)
+
+
+def test_figure_build_memory_is_the_labels_plus_a_constant():
+    # every raster is labelled in row blocks, so no float temporary spans the grid
+    res = 1024
+    figure_dataset(12, resolution=8)                           # first-call set-up, unmeasured
+    tracemalloc.start()
+    try:
+        for figure in (5, 7, 12, 15, 16, 19):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dataset = figure_dataset(figure, resolution=res)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak <= res * res + 2 * 2**20, (figure, peak)
+            del dataset
+    finally:
+        tracemalloc.stop()
