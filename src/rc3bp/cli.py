@@ -50,11 +50,29 @@ def _json_default(obj):
 
 
 def _json_text(payload: dict) -> str:
-    """Sorted, indented JSON; NumericError where a value is not a finite double."""
+    """Sorted, indented JSON; NumericError naming the values that are not finite doubles."""
     try:
         return json.dumps(payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"the result is not a finite double: {exc}") from None
+    except ValueError:
+        bad = _non_finite(payload, "")
+        listed = ", ".join(bad[:4]) + (f" and {len(bad) - 4} more" if len(bad) > 4 else "")
+        raise NumericError(f"the result is not a finite double: {listed}") from None
+
+
+def _non_finite(value, key: str) -> list[str]:
+    """`key = value` for each float in a JSON-shaped value that is not finite, keys in
+    the order `_json_text` writes them: `orbit.r0` in a dict, `l4[1]` in a list."""
+    if hasattr(value, "tolist"):   # a numpy array or scalar
+        value = value.tolist()
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [f"{key} = {value!r}"]
+    if isinstance(value, dict):
+        items = [(f"{key}.{k}" if key else str(k), v) for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return []
+    return [bad for k, v in items for bad in _non_finite(v, k)]
 
 
 def _emit_json(payload: dict) -> None:

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _brent
 from .errors import AtPrimary, AxisOutOfRange, InadmissibleParams, NotOnLimitLocus
@@ -71,8 +70,7 @@ class PredictedCount(enum.Enum):
     UNSPECIFIED = "unspecified"           # beta exactly 1 on an axis region: no claim made
 
 
-@dataclass(frozen=True)
-class CollinearRoot:
+class CollinearRoot(NamedTuple):
     x: float
     interval: Interval
     multiplicity: int
@@ -87,10 +85,10 @@ class CollinearRoot:
         }
 
 
-@dataclass(frozen=True)
-class ResolvedCount:
+class ResolvedCount(NamedTuple):
     """Exact root count of one interval: `count` roots, `double` if one
-    of them has multiplicity 2 (then count == 1)."""
+    of them has multiplicity 2 (then count == 1). The field `count`
+    shadows the tuple method of that name."""
 
     count: int
     double: bool = False
@@ -111,14 +109,15 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
 def f_axis(params: SystemParams, x: float) -> float:
     """Piecewise-reduced F(x). Poles at the primaries raise AtPrimary, and
     points whose squared distance to a primary underflows AxisOutOfRange."""
-    mu = params.mu
+    # each field is read once: this runs in every Brent step of the root solves
+    mu, beta1, beta2 = params.mu, params.beta1, params.beta2
     d1, d2 = x + mu, x + mu - 1.0
     if d1 == 0.0 or d2 == 0.0:
         raise AtPrimary(f"F has a pole at x = {x!r}")
     # the beta == 0 guard keeps 0 * inf out of near-pole evaluations
     try:
-        t1 = params.beta1 * (1.0 - mu) / (d1 * d1) if params.beta1 != 0.0 else 0.0
-        t2 = params.beta2 * mu / (d2 * d2) if params.beta2 != 0.0 else 0.0
+        t1 = beta1 * (1.0 - mu) / (d1 * d1) if beta1 != 0.0 else 0.0
+        t2 = beta2 * mu / (d2 * d2) if beta2 != 0.0 else 0.0
     except ZeroDivisionError:
         raise AxisOutOfRange(
             f"F is not representable at x = {x!r}: its squared distance to a primary underflows"
@@ -136,13 +135,13 @@ def f_axis_prime(params: SystemParams, x: float) -> float:
     AtPrimary at a pole; AxisOutOfRange where a rho_i**3 underflows or
     overflows.
     """
-    mu = params.mu
+    mu, beta1, beta2 = params.mu, params.beta1, params.beta2
     r1, r2 = abs(x + mu), abs(x + mu - 1.0)
     if r1 == 0.0 or r2 == 0.0:
         raise AtPrimary(f"F' has a pole at x = {x!r}")
     try:
-        t1 = 2.0 * params.beta1 * (1.0 - mu) / r1**3 if params.beta1 != 0.0 else 0.0
-        t2 = 2.0 * params.beta2 * mu / r2**3 if params.beta2 != 0.0 else 0.0
+        t1 = 2.0 * beta1 * (1.0 - mu) / r1**3 if beta1 != 0.0 else 0.0
+        t2 = 2.0 * beta2 * mu / r2**3 if beta2 != 0.0 else 0.0
     except (ZeroDivisionError, OverflowError):
         raise AxisOutOfRange(
             f"F' is not representable at x = {x!r}: a cubed distance to a primary "

@@ -20,8 +20,7 @@ plain `math`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import CollisionSingularity, NumericError, StepSizeUnderflow, ValidationError
 from .params import SystemParams
@@ -37,8 +36,7 @@ DEFAULT_COLLISION_RADIUS = 1e-6
 _MIN_RTOL = 2.5e-14
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(NamedTuple):
     """Canonical rotating-frame state (x, y, px, py)."""
 
     x: float
@@ -57,8 +55,7 @@ class PhaseState:
         return PhaseState(x, y, px, py)
 
 
-@dataclass(frozen=True)
-class PotentialSample:
+class PotentialSample(NamedTuple):
     """V and its derivatives through second order at one point."""
 
     V: float
@@ -190,8 +187,7 @@ def solve_ivp(*args, **kwargs):
     return _solve_ivp(*args, **kwargs)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled solution of the canonical equations.
 
     reason is "completed" or "collision-approach"; in the latter case the
@@ -222,7 +218,9 @@ def integrate(
     [1e-14, 1e-3]. sample_times, if given, selects the dense-output
     times; otherwise the solver's natural steps are returned. Approaching
     a primary closer than collision_radius ends the run early with
-    reason "collision-approach".
+    reason "collision-approach"; a start that is already that close is
+    the one sample at t = 0, and a start on a primary raises
+    CollisionSingularity.
     """
     import numpy as np
 
@@ -230,10 +228,20 @@ def integrate(
         raise ValidationError(f"t_end must be positive and finite, got {t_end!r}")
     if not (1e-14 <= tol <= 1e-3):
         raise ValidationError(f"tol must lie in [1e-14, 1e-3], got {tol!r}")
+    if not (0.0 < collision_radius < math.inf):
+        raise ValidationError(
+            f"collision_radius must be positive and finite, got {collision_radius!r}"
+        )
     if not np.all(np.isfinite(s0.as_array())):
         raise ValidationError(f"the initial state must be finite, got {s0!r}")
 
     mu, k1, k2 = _charges(params)
+    if min(_require_off_primaries(mu, s0.x, s0.y)) <= collision_radius:
+        # the close-approach event would start at or below zero and never change sign;
+        # H is `hamiltonian`'s, -inf where V overflows within a subnormal distance
+        energy = _energy(math.hypot, mu, k1, k2, s0.x, s0.y, s0.px, s0.py)
+        start = s0.as_array()[None, :]
+        return Trajectory(np.zeros(1), start, np.array([energy]), "collision-approach")
 
     def close_approach(t: float, v: np.ndarray) -> float:
         x, y = v[0], v[1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import NonpositiveMass, ValidationError, ZeroThirdCharge
 
@@ -38,12 +38,11 @@ def _require_mu(mu: float) -> None:
 
 
 def _require_fields(system) -> None:
-    """ValidationError naming the first non-finite field of the dataclass `system`,
+    """ValidationError naming the first non-finite field of the record `system`,
     then the first of m1, m2, G, k that is not positive (NonpositiveMass for a mass)."""
-    for field in fields(system):
-        value = getattr(system, field.name)
+    for name, value in zip(system._fields, system):
         if not math.isfinite(value):
-            raise ValidationError(f"{field.name} must be finite, got {value!r}")
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     for name in ("m1", "m2", "G", "k"):
         value = getattr(system, name)
         if not value > 0.0:
@@ -82,8 +81,14 @@ def force_regime(beta: float) -> ForceRegime:
     return ForceRegime.COULOMB_ATTRACTIVE
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class _SystemParamsFields(NamedTuple):
+    mu: float
+    beta1: float
+    beta2: float
+    swapped: bool = False
+
+
+class SystemParams(_SystemParamsFields):
     """Reduced parameter triple (mu, beta1, beta2).
 
     mu may be anywhere in (0, 1); `reduce` always emits the folded
@@ -92,15 +97,16 @@ class SystemParams:
     for direct construction.
     """
 
-    mu: float
-    beta1: float
-    beta2: float
-    swapped: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_mu(self.mu)
         if not (math.isfinite(self.beta1) and math.isfinite(self.beta2)):
             raise ValidationError("beta parameters must be finite")
+        return self
 
     @property
     def admissible(self) -> bool:
@@ -144,15 +150,7 @@ def _limit_line(params: SystemParams) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class PhysicalSystem:
-    """Raw masses and charges of the three bodies plus force constants.
-
-    m3 >= 0 is allowed (the restricted problem is its m3 -> 0 limit). q3 = 0
-    is representable but rejected by `reduce`, which needs the test
-    particle's charge sign.
-    """
-
+class _PhysicalSystemFields(NamedTuple):
     m1: float
     m2: float
     m3: float
@@ -162,10 +160,25 @@ class PhysicalSystem:
     G: float = 1.0
     k: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class PhysicalSystem(_PhysicalSystemFields):
+    """Raw masses and charges of the three bodies plus force constants.
+
+    m3 >= 0 is allowed (the restricted problem is its m3 -> 0 limit). q3 = 0
+    is representable but rejected by `reduce`, which needs the test
+    particle's charge sign.
+    """
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_fields(self)
         if self.m3 < 0.0:
             raise NonpositiveMass(f"test-particle mass must be nonnegative, got m3={self.m3!r}")
+        return self
 
     @property
     def c12(self) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ FIGURE_DEFAULT_MU = {
 FIGURES = (5, 6, 7, 11, 12, 13, 15, 16, 17, 18, 19, 20, 21)
 
 
-@dataclass(frozen=True, eq=False)
-class RegionRaster:
+class _RegionRasterFields(NamedTuple):
     x_range: tuple[float, float]
     y_range: tuple[float, float]
     resolution: tuple[int, int]        # (nx, ny)
@@ -71,12 +70,23 @@ class RegionRaster:
     legend: tuple[str, ...]
     predicate: str                     # which predicate produced the labels
 
-    def __post_init__(self) -> None:
+
+class RegionRaster(_RegionRasterFields):
+    """A labelled cell grid. Equality and hash are by identity: `labels` is an array."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         nx, ny = self.resolution
         if nx < 2 or ny < 2:
             raise ValidationError(f"resolution must be >= 2 per axis, got {self.resolution!r}")
         if self.labels.shape != (ny, nx):
             raise ValidationError(f"labels shape {self.labels.shape!r} != {(ny, nx)!r}")
+        return self
 
     def x_centers(self) -> np.ndarray:
         return _centers(self.x_range, self.resolution[0])
@@ -372,8 +382,7 @@ def parameter_stability_raster(mu: float, resolution=None) -> RegionRaster:
 # stable-region geometry
 
 
-@dataclass(frozen=True)
-class StableArc:
+class StableArc(NamedTuple):
     """One of the two constant-gamma circular arcs through the primaries."""
 
     center: tuple[float, float]
@@ -419,21 +428,28 @@ def stable_arcs(mu: float, gamma: float) -> tuple[StableArc, StableArc]:
     )
 
 
-@dataclass(frozen=True)
-class StableEllipse:
+class _StableEllipseFields(NamedTuple):
+    gamma: float
+
+
+class StableEllipse(_StableEllipseFields):
     """The constant-gamma ellipse delta1^2 + delta2^2 + 2 cos(gamma) d1 d2 = 1.
 
     Semi-axis 1/sqrt(1 - cos gamma) lies along (1, -1)/sqrt2 (rotation
     -pi/4) and 1/sqrt(1 + cos gamma) along (1, 1)/sqrt2 (+pi/4).
     """
 
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.gamma < math.pi):
             raise DegenerateGamma(
                 f"gamma = {self.gamma!r} degenerates the ellipse; need gamma in (0, pi)"
             )
+        return self
 
     @property
     def semi_axes(self) -> tuple[float, float]:
@@ -460,8 +476,7 @@ class StableRegime(enum.Enum):
     TWO_INTERVALS = "two-intervals"    # mu > mu*: stable only near the axis angles
 
 
-@dataclass(frozen=True)
-class StableRegionReport:
+class StableRegionReport(NamedTuple):
     """Which gamma values are stable at this mu, with boundary geometry."""
 
     mu: float
@@ -512,12 +527,15 @@ def stable_region_report(mu: float) -> StableRegionReport:
 # figure composition
 
 
-@dataclass(frozen=True, eq=False)
-class FigureDataset:
+class FigureDataset(NamedTuple):
+    """One figure's raster and curves. Equality and hash are by identity."""
+
     figure: int
     raster: RegionRaster
     curves: dict                       # polylines / arcs / ellipses, JSON-shaped
     parameters: dict                   # the inputs that produced the dataset
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def figure_dataset(figure: int, mu: float | None = None, resolution=None) -> FigureDataset:

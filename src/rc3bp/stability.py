@@ -30,8 +30,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BelowCriticalMass, NotOnTriangularLocus, ValidationError
 from .params import SystemParams, _limit_line, _require_folded_mu
@@ -51,8 +50,7 @@ class StabilityClass(enum.Enum):
     LINEARLY_UNSTABLE_F_ONE = "LinearlyUnstable_Fone"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     eigenvalues: tuple[complex, complex, complex, complex]
     f_value: float
     gamma: float

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoTriangularSolution, NumericError
 from .params import SystemParams
@@ -36,8 +36,7 @@ class TriangularLocation(enum.Enum):
     RIGHT_OF_BODY2 = "right-of-body-2"
 
 
-@dataclass(frozen=True)
-class TriangularPair:
+class TriangularPair(NamedTuple):
     """The L4 point (xL, +yL) and its reflection L5 = (xL, -yL), yL > 0."""
 
     xL: float

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonpositiveRadius, NotRepulsive, NumericError, ValidationError
 from .errors import ZeroAngularMomentum
@@ -32,10 +32,7 @@ class OrbitClass(enum.Enum):
     REPULSIVE = "repulsive"   # C < 0, scattering hyperbolae
 
 
-@dataclass(frozen=True)
-class TwoBodyConfig:
-    """Masses, charges and constants of an isolated pair."""
-
+class _TwoBodyConfigFields(NamedTuple):
     m1: float
     m2: float
     q1: float
@@ -43,8 +40,18 @@ class TwoBodyConfig:
     G: float = 1.0
     k: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class TwoBodyConfig(_TwoBodyConfigFields):
+    """Masses, charges and constants of an isolated pair."""
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_fields(self)
+        return self
 
     @property
     def C(self) -> float:
@@ -56,8 +63,7 @@ class TwoBodyConfig:
         return self.m1 * self.m2 / (self.m1 + self.m2)
 
 
-@dataclass(frozen=True)
-class HyperbolicOrbit:
+class HyperbolicOrbit(NamedTuple):
     """Geometry of one repulsive scattering orbit.
 
     theta_e = arccos(1/e) is the polar angle of the outgoing asymptote

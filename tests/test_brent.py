@@ -128,11 +128,13 @@ def test_non_convergence_raises_like_scipy(monkeypatch):
 
 
 def _run_fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
-    """`python -c code *args` in a new interpreter that imports this checkout's rc3bp."""
+    """`python -c code *args` in a new interpreter that imports this checkout's rc3bp,
+    killed after 60 s so that a hang fails the test."""
     src = str(Path(rc3bp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=60,
     )
 
 
@@ -178,14 +180,16 @@ _CLI_CASES = [
 ]
 
 # cli.main in a new interpreter; the last stderr line is a JSON list: whether
-# numpy and hashlib got loaded, and the rc3bp submodules that did
+# numpy, hashlib, dataclasses and inspect got loaded, and the rc3bp submodules
+# that did
 _FRESH_MAIN = "\n".join(
     [
         "import json, sys",
         "from rc3bp.cli import main",
         "code = main(sys.argv[1:])",
         "own = sorted(m[6:] for m in sys.modules if m.startswith('rc3bp.'))",
-        "loaded = ['numpy' in sys.modules, 'hashlib' in sys.modules, own]",
+        "loaded = [m in sys.modules for m in ('numpy', 'hashlib', 'dataclasses', 'inspect')]",
+        "loaded.append(own)",
         "print(json.dumps(loaded), file=sys.stderr)",
         "sys.exit(code)",
     ]
@@ -204,10 +208,13 @@ def test_cli_subcommand_in_a_fresh_process(key, needs_numpy, modules, tmp_path):
     proc = _run_fresh(_FRESH_MAIN, *key.split(" "), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == reference[key]
-    numpy_loaded, hashlib_loaded, own = json.loads(proc.stderr)
+    numpy_loaded, hashlib_loaded, dataclasses_loaded, inspect_loaded, own = json.loads(proc.stderr)
     assert numpy_loaded == needs_numpy
     # scipy loads hashlib for integrate; the figure writer imports it itself
     assert needs_numpy or not hashlib_loaded
+    # the records are NamedTuples; scipy, for integrate, loads dataclasses itself
+    assert key.startswith("integrate") or not dataclasses_loaded
+    assert needs_numpy or not inspect_loaded
     assert set(own) == {"cli", "errors", "params"} | modules
 
 

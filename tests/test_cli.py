@@ -219,7 +219,7 @@ def test_brent_non_convergence_exits_3(argv, capsys, tmp_path, monkeypatch):
          "V is not representable at (-0.2, 1e-70)"),
         # C = G m1 m2 overflows to inf, and mu_red to inf/inf = nan
         (["two-body", "--m1", "1e308", "--m2", "1e308", "--q1", "0", "--q2", "0"],
-         "not a finite double"),
+         "not a finite double: C = inf, mu_red = nan"),
         # r0 = |C| / kstar overflows
         (["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
           "--kstar", "1e-320", "--l", "1"], "not a finite double"),
@@ -455,6 +455,16 @@ def test_raster_csv_matches_per_cell_reference_on_label_runs(labels):
     assert "".join(cli._raster_csv_lines(raster)) == _reference_csv(raster)
 
 
+def test_json_that_is_not_finite_names_its_keys_in_written_order():
+    payload = {"z": np.full(6, math.nan), "a": {"l4": [1.0, -math.inf]}, "n": None, "k": 2}
+    with pytest.raises(cli.NumericError) as info:
+        cli._json_text(payload)
+    assert str(info.value) == (
+        "the result is not a finite double: a.l4[1] = -inf, z[0] = nan, z[1] = nan, "
+        "z[2] = nan and 3 more"
+    )
+
+
 def test_figure_json_that_is_not_finite_exits_3_before_writing(tmp_path, monkeypatch, capsys):
     # the figure JSON is encoded as strictly as stdout, before any file opens
     real = regions.figure_dataset
@@ -468,7 +478,7 @@ def test_figure_json_that_is_not_finite_exits_3_before_writing(tmp_path, monkeyp
     code, out, err = run(
         capsys, "regions", "--figure", "5", "--resolution", "8", "--out", str(tmp_path / "f")
     )
-    assert (code, out) == (3, "") and "not a finite double" in err
+    assert (code, out) == (3, "") and "not a finite double: curves.critical_mu = nan" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,5 +1,6 @@
 """Potential derivatives, Hamiltonian structure, and the integrator."""
 
+import json
 import math
 
 import numpy as np
@@ -16,8 +17,9 @@ from rc3bp.dynamics import (
     potential,
     primary_distances,
 )
-from rc3bp.errors import CollisionSingularity
+from rc3bp.errors import CollisionSingularity, ValidationError
 from rc3bp.params import SystemParams
+from test_brent import _run_fresh
 
 
 def _random_safe_point(rng, mu, min_dist=0.15):
@@ -211,6 +213,47 @@ def test_integrate_validates_inputs():
         integrate(p, PhaseState(0.3, 0.8, 0.0, 0.0), -1.0)
     with pytest.raises(ValueError):
         integrate(p, PhaseState(0.3, 0.8, 0.0, 0.0), 1.0, tol=1.0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1e-6, math.inf, math.nan])
+def test_integrate_names_a_collision_radius_that_is_not_positive_and_finite(radius):
+    with pytest.raises(ValidationError, match="collision_radius must be positive and finite"):
+        integrate(SystemParams(0.2, 1.0, 1.0), PhaseState(0.3, 0.8, 0.0, 0.0), 1.0,
+                  collision_radius=radius)
+
+
+def _integrate_in_a_fresh_process(state: str, tmp_path):
+    """`rc3bp integrate` from `state` in a new interpreter, killed after 60 s."""
+    main = "import sys\nfrom rc3bp.cli import main\nsys.exit(main(sys.argv[1:]))"
+    return _run_fresh(main, "integrate", "--mu=0.2", "--beta1=1", "--beta2=1", f"--state={state}",
+                      "--t-end=1e-3", f"--out={tmp_path / 'traj.csv'}")
+
+
+@pytest.mark.parametrize(
+    "state, rho",
+    [
+        ("0.8000001,0,0,0", 1e-7),        # inside the default collision radius 1e-6
+        ("0.8,0,0,0", 5.551115123125783e-17),   # 0.8 - 1 + 0.2 is not 0 in doubles
+    ],
+)
+def test_integrate_from_inside_the_collision_radius_is_the_start_alone(state, rho, tmp_path):
+    # the close-approach event starts negative and never changes sign, so
+    # the solver used to creep on with subnormal steps until killed
+    proc = _integrate_in_a_fresh_process(state, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["reason"] == "collision-approach"
+    lines = (tmp_path / "traj.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,")
+    p, s0 = SystemParams(0.2, 1.0, 1.0), PhaseState(*map(float, state.split(",")))
+    assert min(primary_distances(0.2, s0.x, s0.y)) == pytest.approx(rho, rel=1e-6)
+    assert float(lines[1].split(",")[-1]) == hamiltonian(p, s0)
+
+
+def test_integrate_from_a_primary_is_a_collision_singularity(tmp_path):
+    proc = _integrate_in_a_fresh_process("-0.2,0,0,0", tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: point (-0.2, 0.0) coincides with a primary\n"
+    assert not (tmp_path / "traj.csv").exists()
 
 
 def test_repulsive_dynamics_pushes_outward():

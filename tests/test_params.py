@@ -1,6 +1,7 @@
 """Parameter reduction and admissibility."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -109,6 +110,23 @@ def test_system_params_validation():
         SystemParams(0.3, math.inf, 1.0)
     p = SystemParams(0.75, 1.0, 1.0)   # complement half is allowed directly
     assert p.mu == 0.75
+
+
+def test_records_are_immutable_tuples_checked_on_every_construction():
+    # NamedTuples: equal to the plain tuple of their values, with its hash
+    p = SystemParams(0.2, 0.5, 1.5)
+    assert p == SystemParams(mu=0.2, beta1=0.5, beta2=1.5) == (0.2, 0.5, 1.5, False)
+    assert hash(p) == hash((0.2, 0.5, 1.5, False))
+    assert repr(p) == "SystemParams(mu=0.2, beta1=0.5, beta2=1.5, swapped=False)"
+    for name in ("mu", "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0.3)
+    assert p._replace(beta2=2.0) == SystemParams(0.2, 0.5, 2.0)
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(ValidationError, match="mu must lie in"):
+        p._replace(mu=1.5)
+    with pytest.raises(ValidationError, match="q2 must be finite"):
+        PhysicalSystem(1.0, 1.0, 0.0, 1.0, 1.0, 1.0)._replace(q2=math.nan)
 
 
 def test_mirrored_roundtrip():

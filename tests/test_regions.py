@@ -422,6 +422,15 @@ def test_stable_ellipse_identity_and_axes():
         StableEllipse(gamma=0.0)
 
 
+def test_raster_and_dataset_compare_by_identity():
+    # their fields hold arrays and dicts, so tuple equality and hashing would fail
+    a, b = (figure_dataset(5, resolution=4) for _ in range(2))
+    assert a == a and a != b and a.raster == a.raster and a.raster != b.raster
+    assert len({a, b, a.raster, b.raster}) == 4
+    with pytest.raises(DegenerateGamma):
+        StableEllipse(1.0)._replace(gamma=math.pi)
+
+
 def test_supplementary_ellipses_are_quarter_turns():
     g = 0.7
     e1 = StableEllipse(gamma=g)
