@@ -142,10 +142,17 @@ def _energy(hypot, mu: float, k1: float, k2: float, x, y, px, py):
 
 
 def hamiltonian(params: SystemParams, state: PhaseState) -> float:
-    """H = (px**2 + py**2)/2 + (y px - x py) - V; raises CollisionSingularity at a primary."""
+    """H = (px**2 + py**2)/2 + (y px - x py) - V; raises CollisionSingularity at a
+    primary and NumericError where H is not a finite double."""
     mu, k1, k2 = _charges(params)
     _require_off_primaries(mu, state.x, state.y)
-    return _energy(math.hypot, mu, k1, k2, state.x, state.y, state.px, state.py)
+    try:
+        energy = _energy(math.hypot, mu, k1, k2, *state)
+        if math.isfinite(energy):
+            return energy
+    except OverflowError:  # float ** raises where px**2 or py**2 overflows
+        pass
+    raise NumericError(f"H is not a finite double at {state!r}")
 
 
 def _canonical_field(mu: float, k1: float, k2: float):
@@ -219,8 +226,9 @@ def integrate(
     times; otherwise the solver's natural steps are returned. Approaching
     a primary closer than collision_radius ends the run early with
     reason "collision-approach"; a start that is already that close is
-    the one sample at t = 0, and a start on a primary raises
-    CollisionSingularity.
+    the one sample at t = 0. A start on a primary raises
+    CollisionSingularity, and one where H is not a finite double raises
+    NumericError, as `hamiltonian` does.
     """
     import numpy as np
 
@@ -236,10 +244,9 @@ def integrate(
         raise ValidationError(f"the initial state must be finite, got {s0!r}")
 
     mu, k1, k2 = _charges(params)
-    if min(_require_off_primaries(mu, s0.x, s0.y)) <= collision_radius:
-        # the close-approach event would start at or below zero and never change sign;
-        # H is `hamiltonian`'s, -inf where V overflows within a subnormal distance
-        energy = _energy(math.hypot, mu, k1, k2, s0.x, s0.y, s0.px, s0.py)
+    energy = hamiltonian(params, s0)  # a start where H leaves the doubles fails before the solve
+    if min(primary_distances(mu, s0.x, s0.y)) <= collision_radius:
+        # the close-approach event would start at or below zero and never change sign
         start = s0.as_array()[None, :]
         return Trajectory(np.zeros(1), start, np.array([energy]), "collision-approach")
 

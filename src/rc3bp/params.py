@@ -81,6 +81,22 @@ def force_regime(beta: float) -> ForceRegime:
     return ForceRegime.COULOMB_ATTRACTIVE
 
 
+class _Checked:
+    """Listed before a record's NamedTuple of fields: every construction, `_replace`
+    and unpickling included, runs the record's `_check`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
 class _SystemParamsFields(NamedTuple):
     mu: float
     beta1: float
@@ -88,7 +104,7 @@ class _SystemParamsFields(NamedTuple):
     swapped: bool = False
 
 
-class SystemParams(_SystemParamsFields):
+class SystemParams(_Checked, _SystemParamsFields):
     """Reduced parameter triple (mu, beta1, beta2).
 
     mu may be anywhere in (0, 1); `reduce` always emits the folded
@@ -99,14 +115,10 @@ class SystemParams(_SystemParamsFields):
 
     __slots__ = ()
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _require_mu(self.mu)
         if not (math.isfinite(self.beta1) and math.isfinite(self.beta2)):
             raise ValidationError("beta parameters must be finite")
-        return self
 
     @property
     def admissible(self) -> bool:
@@ -127,13 +139,7 @@ class SystemParams(_SystemParamsFields):
         return SystemParams(1.0 - self.mu, self.beta2, self.beta1, swapped=not self.swapped)
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "admissible": self.admissible,
-            "swapped": self.swapped,
-        }
+        return {**self._asdict(), "admissible": self.admissible}
 
 
 def _limit_line(params: SystemParams) -> int | None:
@@ -161,7 +167,7 @@ class _PhysicalSystemFields(NamedTuple):
     k: float = 1.0
 
 
-class PhysicalSystem(_PhysicalSystemFields):
+class PhysicalSystem(_Checked, _PhysicalSystemFields):
     """Raw masses and charges of the three bodies plus force constants.
 
     m3 >= 0 is allowed (the restricted problem is its m3 -> 0 limit). q3 = 0
@@ -171,14 +177,10 @@ class PhysicalSystem(_PhysicalSystemFields):
 
     __slots__ = ()
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _require_fields(self)
         if self.m3 < 0.0:
             raise NonpositiveMass(f"test-particle mass must be nonnegative, got m3={self.m3!r}")
-        return self
 
     @property
     def c12(self) -> float:

@@ -26,7 +26,7 @@ from . import collinear
 from .collinear import COLLINEAR_LEGEND, Interval
 from .dynamics import _distances
 from .errors import DegenerateGamma, ValidationError
-from .params import MAX_CSV_ROWS, _require_folded_mu, _require_mu, is_admissible
+from .params import MAX_CSV_ROWS, _Checked, _require_folded_mu, _require_mu, is_admissible
 from .stability import StabilityClass, _cos_gamma, _discriminant, _stability_index
 from .stability import critical_mu, gamma_mu
 from .triangular import _strict_triangle
@@ -71,22 +71,18 @@ class _RegionRasterFields(NamedTuple):
     predicate: str                     # which predicate produced the labels
 
 
-class RegionRaster(_RegionRasterFields):
+class RegionRaster(_Checked, _RegionRasterFields):
     """A labelled cell grid. Equality and hash are by identity: `labels` is an array."""
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         nx, ny = self.resolution
         if nx < 2 or ny < 2:
             raise ValidationError(f"resolution must be >= 2 per axis, got {self.resolution!r}")
         if self.labels.shape != (ny, nx):
             raise ValidationError(f"labels shape {self.labels.shape!r} != {(ny, nx)!r}")
-        return self
 
     def x_centers(self) -> np.ndarray:
         return _centers(self.x_range, self.resolution[0])
@@ -403,12 +399,7 @@ class StableArc(NamedTuple):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "center": list(self.center),
-            "radius": self.radius,
-            "branch": self.branch,
-            "gamma": self.gamma,
-        }
+        return self._asdict()
 
 
 def stable_arcs(mu: float, gamma: float) -> tuple[StableArc, StableArc]:
@@ -432,7 +423,7 @@ class _StableEllipseFields(NamedTuple):
     gamma: float
 
 
-class StableEllipse(_StableEllipseFields):
+class StableEllipse(_Checked, _StableEllipseFields):
     """The constant-gamma ellipse delta1^2 + delta2^2 + 2 cos(gamma) d1 d2 = 1.
 
     Semi-axis 1/sqrt(1 - cos gamma) lies along (1, -1)/sqrt2 (rotation
@@ -441,15 +432,11 @@ class StableEllipse(_StableEllipseFields):
 
     __slots__ = ()
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not (0.0 < self.gamma < math.pi):
             raise DegenerateGamma(
                 f"gamma = {self.gamma!r} degenerates the ellipse; need gamma in (0, pi)"
             )
-        return self
 
     @property
     def semi_axes(self) -> tuple[float, float]:

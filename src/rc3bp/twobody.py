@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import NonpositiveRadius, NotRepulsive, NumericError, ValidationError
 from .errors import ZeroAngularMomentum
-from .params import _require_fields
+from .params import _Checked, _require_fields
 
 # Relative tolerance for treating the radial-momentum radicand as zero at
 # the turning point; pure roundoff in k* - V_eff(rho*) must not flip the
@@ -41,17 +41,11 @@ class _TwoBodyConfigFields(NamedTuple):
     k: float = 1.0
 
 
-class TwoBodyConfig(_TwoBodyConfigFields):
+class TwoBodyConfig(_Checked, _TwoBodyConfigFields):
     """Masses, charges and constants of an isolated pair."""
 
     __slots__ = ()
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _require_fields(self)
-        return self
+    _check = _require_fields
 
     @property
     def C(self) -> float:
@@ -87,14 +81,7 @@ class HyperbolicOrbit(NamedTuple):
         return 1.0 / denom
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "e": self.e,
-            "theta_prime": self.theta_prime,
-            "theta_e": self.theta_e,
-            "r0": self.r0,
-            "rho_star": self.rho_star,
-        }
+        return self._asdict()
 
 
 def classify(cfg: TwoBodyConfig) -> OrbitClass:
@@ -117,8 +104,8 @@ def hyperbolic_orbit(cfg: TwoBodyConfig, k_star: float, l: float) -> HyperbolicO
     """Closed-form scattering orbit for C < 0, energy k* > 0, momentum l != 0.
 
     theta' is fixed to 0: the turning point sits on the positive x-axis.
-    NumericError where r0 leaves the doubles or e rounds to 1, so that the
-    orbit is no hyperbola in doubles.
+    NumericError where r0 leaves the doubles, mu_red C**2 underflows to 0, or
+    e rounds to 1, so that the orbit is no hyperbola in doubles.
     """
     if not (math.isfinite(k_star) and math.isfinite(l)):
         raise ValidationError(f"k_star and l must be finite, got {k_star!r} and {l!r}")
@@ -131,16 +118,19 @@ def hyperbolic_orbit(cfg: TwoBodyConfig, k_star: float, l: float) -> HyperbolicO
         raise ValidationError(f"k_star must be positive, got {k_star!r}")
 
     mu_red = cfg.mu_red
-    c = mu_red * abs(C) / (l * l)
     r0 = abs(C) / k_star
     if not math.isfinite(r0):
         raise NumericError(f"r0 = |C|/k_star = {r0!r} is not a finite double")
+    if mu_red * C * C == 0.0:
+        raise NumericError(f"mu_red C**2 underflows to 0 at {cfg!r}")
+    # e is exactly 1 where l**2 underflows, so c below never divides by zero
     e = math.sqrt(1.0 + 2.0 * l * l * k_star / (mu_red * C * C))
     if e == 1.0:
         raise NumericError(
             f"e rounds to 1 at k_star = {k_star!r}, l = {l!r}: 2 l**2 k*/(mu_red C**2) is "
             "below half an ulp of 1"
         )
+    c = mu_red * abs(C) / (l * l)
     rho_star = (abs(C) / (2.0 * k_star)) * (1.0 + e)
     theta_e = math.acos(1.0 / e)
     return HyperbolicOrbit(c=c, e=e, theta_prime=0.0, theta_e=theta_e, r0=r0, rho_star=rho_star)

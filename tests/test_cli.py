@@ -229,12 +229,30 @@ def test_brent_non_convergence_exits_3(argv, capsys, tmp_path, monkeypatch):
         # the pair exists (delta1 + delta2 = 1 + 2 ulp), but yL**2 rounds below 0
         (["equilibria", "--mu", "0.2", "--beta1", "6.018324002166726e-05",
           "--beta2", "0.8869815620321766", "--kind", "triangular"], "is not positive"),
+        # l**2 underflows to 0, so e is exactly 1
+        (["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2", "--kstar", "3",
+          "--l", "1e-170"], "e rounds to 1 at k_star = 3.0, l = 1e-170"),
+        # m1 m2 underflows, so mu_red C**2 = 0
+        (["two-body", "--m1", "1e-200", "--m2", "1e-200", "--q1", "1e-80", "--q2", "1e-80",
+          "--kstar", "3", "--l", "1"], "mu_red C**2 underflows to 0 at TwoBodyConfig(m1=1e-200"),
+        # px**2 overflows at a start inside the collision radius
+        (["integrate", "--mu=1e-10", "--beta1=2", "--beta2=0", "--state=-8.685434092740774e-07,"
+          "-1.033031011104279e-07,1e300,-0.03080576118017928", "--t-end=0.001"],
+         "H is not a finite double at PhaseState(x=-8.685434092740774e-07"),
+        # V overflows a subnormal distance from primary 1, so H would be -inf
+        (["integrate", "--mu=0.2", "--beta1=1", "--beta2=1", "--state=-0.2,1e-320,0,0",
+          "--t-end=1e-3"], "H is not a finite double at PhaseState(x=-0.2, y=1e-320"),
+        # px**2 overflows; the solver would warn on every step
+        (["integrate", "--mu=0.2", "--beta1=1", "--beta2=1", "--state=0.5,0.5,1e300,0",
+          "--t-end=1"], "H is not a finite double at PhaseState(x=0.5, y=0.5, px=1e+300"),
     ],
 )
 def test_results_outside_the_doubles_exit_3_with_nothing_on_stdout(argv, message, capsys):
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # a leaked warning would be a traceback
+        code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("numeric failure: ") and message in err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1 and message in err
 
 
 def test_collinear_equilibria_never_contradict_the_resolved_count(capsys):

@@ -17,7 +17,7 @@ from rc3bp.dynamics import (
     potential,
     primary_distances,
 )
-from rc3bp.errors import CollisionSingularity, ValidationError
+from rc3bp.errors import CollisionSingularity, NumericError, ValidationError
 from rc3bp.params import SystemParams
 from test_brent import _run_fresh
 
@@ -254,6 +254,25 @@ def test_integrate_from_a_primary_is_a_collision_singularity(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: point (-0.2, 0.0) coincides with a primary\n"
     assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "params, state",
+    [
+        # px**2 overflows
+        (SystemParams(0.2, 1.0, 1.0), PhaseState(0.5, 0.5, 1e200, 0.0)),
+        # inside the collision radius, where the start alone would be returned
+        (SystemParams(1e-10, 2.0, 0.0),
+         PhaseState(-8.685434092740774e-07, -1.033031011104279e-07, 1e300, -0.03080576118017928)),
+        # V = 0.8 / 1e-320 overflows a subnormal distance from primary 1
+        (SystemParams(0.2, 1.0, 1.0), PhaseState(-0.2, 1e-320, 0.0, 0.0)),
+    ],
+)
+def test_h_outside_the_doubles_is_a_numeric_error_before_the_solve(params, state):
+    with pytest.raises(NumericError, match=r"^H is not a finite double at PhaseState\(x="):
+        hamiltonian(params, state)
+    with pytest.raises(NumericError, match=r"^H is not a finite double"):
+        integrate(params, state, 1e-3)
 
 
 def test_repulsive_dynamics_pushes_outward():

@@ -1,21 +1,25 @@
 """Parameter reduction and admissibility."""
 
+import json
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from rc3bp.errors import NonpositiveMass, ValidationError, ZeroThirdCharge
+from rc3bp.errors import DegenerateGamma, NonpositiveMass, ValidationError, ZeroThirdCharge
 from rc3bp.params import (
     ForceRegime,
     PhysicalSystem,
     SystemParams,
+    _Checked,
     _limit_line,
     force_regime,
     is_admissible,
     reduce,
 )
+from rc3bp.regions import RegionRaster, StableArc, StableEllipse
+from rc3bp.twobody import HyperbolicOrbit, TwoBodyConfig
 
 
 def test_admissibility_boundary_and_interior():
@@ -129,6 +133,48 @@ def test_records_are_immutable_tuples_checked_on_every_construction():
         PhysicalSystem(1.0, 1.0, 0.0, 1.0, 1.0, 1.0)._replace(q2=math.nan)
 
 
+_RASTER = dict(x_range=(0.0, 1.0), y_range=(0.0, 1.0), resolution=(3, 2),
+               labels=np.zeros((2, 3), dtype=np.int8), legend=("a",), predicate="p")
+
+
+@pytest.mark.parametrize(
+    "cls, fields, bad, error",
+    [
+        (SystemParams, dict(mu=0.2, beta1=0.5, beta2=1.5), dict(mu=1.5), ValidationError),
+        (SystemParams, dict(mu=0.2, beta1=0.5, beta2=1.5), dict(beta2=math.inf), ValidationError),
+        (PhysicalSystem, dict(m1=1.0, m2=1.0, m3=0.0, q1=1.0, q2=1.0, q3=1.0), dict(m3=-1.0),
+         NonpositiveMass),
+        (PhysicalSystem, dict(m1=1.0, m2=1.0, m3=0.0, q1=1.0, q2=1.0, q3=1.0), dict(G=0.0),
+         ValidationError),
+        (TwoBodyConfig, dict(m1=1.0, m2=1.0, q1=2.0, q2=2.0), dict(m2=0.0), NonpositiveMass),
+        (TwoBodyConfig, dict(m1=1.0, m2=1.0, q1=2.0, q2=2.0), dict(q1=math.nan), ValidationError),
+        (RegionRaster, _RASTER, dict(labels=np.zeros((3, 2), dtype=np.int8)), ValidationError),
+        (RegionRaster, _RASTER, dict(resolution=(1, 2)), ValidationError),
+        (StableEllipse, dict(gamma=1.0), dict(gamma=math.pi), DegenerateGamma),
+    ],
+)
+def test_checked_records_check_every_construction(cls, fields, bad, error):
+    # `_Checked` owns `__new__` and `_make`; each record defines only its `_check`
+    assert cls.__mro__[1] is _Checked and "_check" in vars(cls)
+    assert not {"__new__", "_make"} & set(vars(cls))
+    good = cls(**fields)
+    for same in (cls(*fields.values()), cls._make(good), good._replace(),
+                 pickle.loads(pickle.dumps(good))):
+        assert type(same) is cls and repr(same) == repr(good)
+    values = {**fields, **bad}
+    unchecked = tuple.__new__(cls, (*values.values(), *good[len(values):]))
+    for build in (
+        lambda: cls(*values.values()),
+        lambda: cls(**values),
+        lambda: cls._make(values.values()),
+        lambda: good._replace(**bad),
+        lambda: pickle.loads(pickle.dumps(unchecked)),
+    ):
+        with pytest.raises(error) as caught:
+            build()
+        assert caught.type is error
+
+
 def test_mirrored_roundtrip():
     # dyadic mu so 1 - (1 - mu) is exact and the involution is bitwise
     p = SystemParams(0.25, 1.2, -0.5)
@@ -180,5 +226,13 @@ def test_force_regime_five_cases():
 
 def test_to_dict_fields():
     d = SystemParams(0.4, 2.0, 0.1).to_dict()
-    assert set(d) == {"mu", "beta1", "beta2", "admissible", "swapped"}
+    assert d == {"mu": 0.4, "beta1": 2.0, "beta2": 0.1, "admissible": True, "swapped": False}
     assert d["admissible"] is True
+    orbit = HyperbolicOrbit(c=1.0, e=2.0, theta_prime=0.0, theta_e=1.0, r0=0.5, rho_star=0.75)
+    assert orbit.to_dict() == {
+        "c": 1.0, "e": 2.0, "theta_prime": 0.0, "theta_e": 1.0, "r0": 0.5, "rho_star": 0.75
+    }
+    # a tuple center encodes as the same JSON list
+    arc = StableArc((0.3, -0.2), 1.5, "upper", 0.7)
+    old = {"center": [0.3, -0.2], "radius": 1.5, "branch": "upper", "gamma": 0.7}
+    assert json.dumps(arc.to_dict(), sort_keys=True) == json.dumps(old, sort_keys=True)

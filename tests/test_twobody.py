@@ -148,3 +148,10 @@ def test_orbit_that_is_no_hyperbola_in_doubles_is_a_numeric_error():
         hyperbolic_orbit(repulsive, 1e-20, 1.0)
     with pytest.raises(NumericError, match="r0"):
         hyperbolic_orbit(repulsive, 1e-320, 1.0)
+    # l**2 underflows to 0, so e is exactly 1 and c = mu_red |C| / l**2 is never formed
+    with pytest.raises(NumericError, match="e rounds to 1 at k_star = 3.0, l = 1e-170"):
+        hyperbolic_orbit(repulsive, 3.0, 1e-170)
+    # m1 m2 = 1e-400 underflows, so mu_red = 0 and mu_red C**2 = 0
+    tiny = TwoBodyConfig(1e-200, 1e-200, 1e-80, 1e-80)
+    with pytest.raises(NumericError, match=r"mu_red C\*\*2 underflows to 0 at TwoBodyConfig\("):
+        hyperbolic_orbit(tiny, 3.0, 1.0)
