@@ -6,18 +6,22 @@ emitted at full double precision (17 significant digits in CSV,
 shortest round-trip form in JSON), so identical inputs yield
 byte-identical outputs.
 
+Each handler returns its result, a JSON payload or `integrate`'s CSV
+text. `main` alone writes stdout, and `_write` alone writes files, as
+UTF-8 bytes hashed as written: the manifest's digests are of the bytes
+on disk.
+
 Exit codes: 0 success, 2 validation/usage error, 3 numeric or IO failure.
 No JSON, on stdout or in a figure file or manifest, holds NaN or
-Infinity: a non-finite result exits 3, and a figure's JSON is encoded
-before either of its files is opened. Figure files are written as UTF-8
-bytes; the manifest's SHA-256 digests are of exactly those bytes.
+Infinity: a non-finite result exits 3 with nothing on stdout, and a
+figure's JSON is encoded before either of its files is opened.
 
 Each subcommand imports only the modules it runs. The top of this module
 loads `errors` and `params`; every other rc3bp module (`twobody`,
-`triangular`, `collinear`, `stability`, `dynamics`, `regions`) and
-`hashlib` is imported inside the handler that uses it, so `validate`
-loads nothing else, and every subcommand but `regions`, `reproduce-all`
-and `integrate` starts without numpy.
+`triangular`, `collinear`, `stability`, `dynamics`, `regions`) is
+imported inside the handler that uses it, and `hashlib` inside `_write`,
+so `validate` loads nothing else, and every subcommand but `regions`,
+`reproduce-all` and `integrate` starts without numpy.
 """
 
 from __future__ import annotations
@@ -75,35 +79,42 @@ def _non_finite(value, key: str) -> list[str]:
     return [bad for k, v in items for bad in _non_finite(v, k)]
 
 
-def _emit_json(payload: dict) -> None:
-    print(_json_text(payload))
+def _floats(names: str):
+    """argparse type: comma-separated floats, one per name in `names` ("x,y")."""
+    count = names.count(",") + 1
+
+    def parse(text: str) -> tuple[float, ...]:
+        parts = text.split(",")
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {names} but got {text!r}")
+        return tuple(float(p) for p in parts)
+
+    parse.__name__ = names    # argparse's "invalid x,y value: ..." for a non-number
+    return parse
 
 
-def _pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected x,y but got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+def _write(path: str, chunks) -> str:
+    """Write the text chunks to path as UTF-8; return the SHA-256 of exactly those bytes."""
+    import hashlib
 
-
-def _quad(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected x,y,px,py but got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode()
+            h.update(data)
+            fh.write(data)
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_validate(args) -> int:
-    params = SystemParams(args.mu, args.beta1, args.beta2)
-    _emit_json(params.to_dict())
-    return 0
+def _cmd_validate(args) -> dict:
+    return SystemParams(args.mu, args.beta1, args.beta2).to_dict()
 
 
-def _cmd_two_body(args) -> int:
+def _cmd_two_body(args) -> dict:
     from . import twobody
 
     cfg = twobody.TwoBodyConfig(args.m1, args.m2, args.q1, args.q2, args.G, args.k)
@@ -117,70 +128,58 @@ def _cmd_two_body(args) -> int:
             raise ValidationError("--kstar and --l must be given together")
         orbit = twobody.hyperbolic_orbit(cfg, args.kstar, args.l)
         payload["orbit"] = orbit.to_dict()
-    _emit_json(payload)
-    return 0
+    return payload
 
 
-def _cmd_equilibria(args) -> int:
+def _cmd_equilibria(args) -> dict:
     params = SystemParams(args.mu, args.beta1, args.beta2)
     if args.kind == "triangular":
         from .triangular import triangular_points
 
         pair = triangular_points(params)
-        _emit_json(
-            {
-                "kind": "triangular",
-                "l4": list(pair.l4),
-                "l5": list(pair.l5),
-                "rho1": pair.rho1,
-                "rho2": pair.rho2,
-                "location": pair.location.value,
-            }
-        )
-        return 0
+        return {
+            "kind": "triangular",
+            "l4": list(pair.l4),
+            "l5": list(pair.l5),
+            "rho1": pair.rho1,
+            "rho2": pair.rho2,
+            "location": pair.location.value,
+        }
     from . import collinear
 
     roots = collinear.find_collinear(params)
     predicted = {
         iv.value: collinear.predicted_root_count(params, iv).value for iv in collinear.Interval
     }
-    _emit_json(
-        {
-            "kind": "collinear",
-            "region": collinear.classify_region(params).value,
-            "predicted": predicted,
-            "roots": [r.to_dict() for r in roots],
-        }
-    )
-    return 0
+    return {
+        "kind": "collinear",
+        "region": collinear.classify_region(params).value,
+        "predicted": predicted,
+        "roots": [r.to_dict() for r in roots],
+    }
 
 
-def _cmd_stability(args) -> int:
+def _cmd_stability(args) -> dict:
     from . import stability
 
     params = SystemParams(args.mu, args.beta1, args.beta2)
-    if args.point is not None:
-        from .dynamics import potential
+    if args.point is None:
+        return stability.classify_triangular(params).to_dict()
+    from .dynamics import potential
 
-        s = potential(params, *args.point)
-        eig = stability._hessian_eigenvalues(s.Vxx, s.Vxy, s.Vyy)
-        # the theorems classify only triangular/limit points; a free point
-        # gets raw eigenvalues with the classification fields left null
-        _emit_json(
-            {
-                "eigenvalues": [[z.real, z.imag] for z in eig],
-                "F": None,
-                "gamma": None,
-                "classification": None,
-            }
-        )
-        return 0
-    report = stability.classify_triangular(params)
-    _emit_json(report.to_dict())
-    return 0
+    s = potential(params, *args.point)
+    eig = stability._hessian_eigenvalues(s.Vxx, s.Vxy, s.Vyy)
+    # the theorems classify only triangular/limit points; a free point
+    # gets raw eigenvalues with the classification fields left null
+    return {
+        "eigenvalues": [[z.real, z.imag] for z in eig],
+        "F": None,
+        "gamma": None,
+        "classification": None,
+    }
 
 
-def _cmd_critical_roots(args) -> int:
+def _cmd_critical_roots(args) -> dict:
     from . import collinear
 
     xr1, xr2 = collinear.critical_roots(args.mu)
@@ -189,8 +188,7 @@ def _cmd_critical_roots(args) -> int:
         s1, s2 = collinear.critical_roots_series(args.mu)
         payload["x_r1_series"] = s1
         payload["x_r2_series"] = s2
-    _emit_json(payload)
-    return 0
+    return payload
 
 
 def _raster_csv_lines(raster: regions.RegionRaster):
@@ -213,10 +211,8 @@ def _raster_csv_lines(raster: regions.RegionRaster):
         yield _fmt(yv).join(pieces)
 
 
-def _write_figure(dataset: regions.FigureDataset, csv_path: str, json_path: str) -> list[str]:
-    """Write the figure's CSV and JSON as UTF-8; return the SHA-256 of each file's bytes."""
-    import hashlib
-
+def _write_figure(dataset: regions.FigureDataset, base: str) -> list[str]:
+    """Write the figure to base.csv and base.json; return the SHA-256 of each file's bytes."""
     meta = _json_text(
         {
             "figure": dataset.figure,
@@ -225,30 +221,22 @@ def _write_figure(dataset: regions.FigureDataset, csv_path: str, json_path: str)
             "curves": dataset.curves,
         }
     )
-    digests = []
-    for path, chunks in ((csv_path, _raster_csv_lines(dataset.raster)), (json_path, [meta + "\n"])):
-        h = hashlib.sha256()
-        with open(path, "wb") as fh:
-            for chunk in chunks:
-                data = chunk.encode()
-                h.update(data)
-                fh.write(data)
-        digests.append(h.hexdigest())
-    return digests
+    return [
+        _write(base + ".csv", _raster_csv_lines(dataset.raster)),
+        _write(base + ".json", [meta + "\n"]),
+    ]
 
 
-def _cmd_regions(args) -> int:
+def _cmd_regions(args) -> dict:
     from . import regions
 
     dataset = regions.figure_dataset(args.figure, mu=args.mu, resolution=args.resolution)
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
-    csv_path, json_path = base + ".csv", base + ".json"
-    _write_figure(dataset, csv_path, json_path)
-    _emit_json({"figure": args.figure, "csv": csv_path, "json": json_path})
-    return 0
+    _write_figure(dataset, base)
+    return {"figure": args.figure, "csv": base + ".csv", "json": base + ".json"}
 
 
-def _cmd_integrate(args) -> int:
+def _cmd_integrate(args) -> dict | str:
     from . import dynamics
 
     params = SystemParams(args.mu, args.beta1, args.beta2)
@@ -260,35 +248,25 @@ def _cmd_integrate(args) -> int:
                 f"--every and --t-end must be positive and finite, got {args.every!r} and "
                 f"{args.t_end!r}"
             )
-        # the multiples of --every up to --t-end, then --t-end where they fall short of it
+        # the multiples of --every short of --t-end, then --t-end itself: a last
+        # multiple that misses --t-end by a rounding error (1e-9 of a step past
+        # it, 1e-12 of it before it) is --t-end
         n = math.floor(min(args.t_end / args.every + 1e-9, MAX_CSV_ROWS))
-        tail = n * args.every < args.t_end - 1e-12 * max(1.0, args.t_end)
-        if n + 1 + tail > MAX_CSV_ROWS:
+        short = n * args.every < args.t_end * (1.0 - 1e-12)
+        if n + 1 + short > MAX_CSV_ROWS:
             raise ValidationError(
                 f"--t-end / --every = {args.t_end!r} / {args.every!r} asks for more than "
                 f"MAX_CSV_ROWS = {MAX_CSV_ROWS} samples"
             )
-        sample_times = [i * args.every for i in range(n + 1)]
-        if tail:
-            sample_times.append(args.t_end)
+        sample_times = [i * args.every for i in range(n + short)] + [args.t_end]
     traj = dynamics.integrate(params, state, args.t_end, tol=args.tol, sample_times=sample_times)
     lines = ["t,x,y,px,py,H\n"]
-    for i in range(len(traj.t)):
-        row = traj.states[i]
-        lines.append(
-            ",".join(
-                [_fmt(traj.t[i]), _fmt(row[0]), _fmt(row[1]), _fmt(row[2]), _fmt(row[3]),
-                 _fmt(traj.energy[i])]
-            )
-            + "\n"
-        )
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.writelines(lines)
-        _emit_json({"out": args.out, "samples": len(traj.t), "reason": traj.reason})
-    else:
-        sys.stdout.write("".join(lines))
-    return 0
+    for t, row, h in zip(traj.t, traj.states, traj.energy):
+        lines.append(",".join(map(_fmt, (t, *row, h))) + "\n")
+    if not args.out:
+        return "".join(lines)
+    _write(args.out, lines)
+    return {"out": args.out, "samples": len(traj.t), "reason": traj.reason}
 
 
 def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
@@ -302,17 +280,15 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
     for figure in regions.FIGURES:
         dataset = regions.figure_dataset(figure, resolution=resolution)
         stem = f"figure-{figure:02d}"
-        csv_path = os.path.join(out_dir, stem + ".csv")
-        json_path = os.path.join(out_dir, stem + ".json")
-        digests = _write_figure(dataset, csv_path, json_path)
+        digests = _write_figure(dataset, os.path.join(out_dir, stem))
         entries.extend(
             {
-                "file": os.path.basename(p),
+                "file": stem + suffix,
                 "subject": f"figure-{figure}",
                 "parameters": dataset.parameters,
                 "sha256": digest,
             }
-            for p, digest in zip((csv_path, json_path), digests)
+            for suffix, digest in zip((".csv", ".json"), digests)
         )
     entries.sort(key=lambda e: e["file"])
     manifest = {
@@ -321,22 +297,17 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
         "parameters": {"resolution": resolution or regions._DEFAULT_RESOLUTION},
         "files": entries,
     }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", newline="\n") as fh:
-        fh.write(_json_text(manifest) + "\n")
+    _write(os.path.join(out_dir, "manifest.json"), [_json_text(manifest) + "\n"])
     return manifest
 
 
-def _cmd_reproduce_all(args) -> int:
+def _cmd_reproduce_all(args) -> dict:
     manifest = reproduce_all(args.out, resolution=args.resolution)
-    _emit_json(
-        {
-            "out": args.out,
-            "files": len(manifest["files"]),
-            "manifest": os.path.join(args.out, "manifest.json"),
-        }
-    )
-    return 0
+    return {
+        "out": args.out,
+        "files": len(manifest["files"]),
+        "manifest": os.path.join(args.out, "manifest.json"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_args(p)
     p.add_argument(
         "--point",
-        type=_pair,
+        type=_floats("x,y"),
         default=None,
         help="x,y of an arbitrary point; omit to classify the triangular pair",
     )
@@ -403,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="integrate the rotating-frame equations")
     _add_params_args(p)
-    p.add_argument("--state", type=_quad, required=True, help="initial x,y,px,py")
+    p.add_argument("--state", type=_floats("x,y,px,py"), required=True, help="initial x,y,px,py")
     p.add_argument("--t-end", dest="t_end", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--every", type=float, default=None, help="output sampling step")
@@ -422,7 +393,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        sys.stdout.write(result if isinstance(result, str) else _json_text(result) + "\n")
+        return 0
     except Rc3bpError as exc:
         kind = "error" if isinstance(exc, ValidationError) else "numeric failure"
         print(f"{kind}: {exc}", file=sys.stderr)

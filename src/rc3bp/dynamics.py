@@ -223,7 +223,8 @@ def integrate(
 
     tol drives both relative and absolute tolerance and must lie in
     [1e-14, 1e-3]. sample_times, if given, selects the dense-output
-    times; otherwise the solver's natural steps are returned. Approaching
+    times, which must be finite, strictly increasing and in [0, t_end];
+    otherwise the solver's natural steps are returned. Approaching
     a primary closer than collision_radius ends the run early with
     reason "collision-approach"; a start that is already that close is
     the one sample at t = 0. A start on a primary raises
@@ -240,6 +241,17 @@ def integrate(
         raise ValidationError(
             f"collision_radius must be positive and finite, got {collision_radius!r}"
         )
+    t_eval = None
+    if sample_times is not None:
+        t_eval = np.asarray(sample_times, dtype=float)
+        bad = ~np.isfinite(t_eval) | (t_eval < 0.0) | (t_eval > t_end)
+        bad[1:] |= t_eval[1:] <= t_eval[:-1]
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValidationError(
+                f"sample_times must be finite, strictly increasing and in [0, t_end = {t_end!r}],"
+                f" but sample_times[{i}] = {float(t_eval[i])!r}"
+            )
     if not np.all(np.isfinite(s0.as_array())):
         raise ValidationError(f"the initial state must be finite, got {s0!r}")
 
@@ -264,7 +276,7 @@ def integrate(
         method="DOP853",
         rtol=max(tol, _MIN_RTOL),
         atol=tol,
-        t_eval=np.asarray(sample_times, dtype=float) if sample_times is not None else None,
+        t_eval=t_eval,
         events=close_approach,
     )
     if sol.status == -1:

@@ -554,6 +554,27 @@ def test_integrate_every_ends_with_a_sample_at_t_end(capsys):
     assert times == [0.0, 0.3, 2 * 0.3, 3 * 0.3, 1.0]
 
 
+@pytest.mark.parametrize(
+    "t_end, every, times",
+    [
+        # 3 * 0.1 = 0.30000000000000004 lies past --t-end: solve_ivp refused it
+        ("0.3", "0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("0.6", "0.2", [0.0, 0.2, 0.4, 0.6]),
+        ("0.7", "0.1", [0.0, 0.1, 0.2, 0.1 * 3, 0.4, 0.5, 0.1 * 6, 0.7]),
+        ("0.42", "0.14", [0.0, 0.14, 0.28, 0.42]),
+        # 3 * 0.7 = 2.0999999999999996 falls an ulp short of --t-end
+        ("2.1", "0.7", [0.0, 0.7, 1.4, 2.1]),
+    ],
+)
+def test_integrate_every_ends_at_t_end_where_a_multiple_rounds_past_it(t_end, every, times, capsys):
+    code, out, err = run(
+        capsys, "integrate", "--mu", "0.2", "--beta1", "1", "--beta2", "1",
+        "--state", "0.5,0.5,0,0", "--t-end", t_end, "--every", every,
+    )
+    assert (code, err) == (0, "")
+    assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == times
+
+
 def test_point_of_the_wrong_length_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stability", "--mu", "0.2", "--beta1", "1", "--beta2", "1", "--point", "0.5,0.5,0"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ def test_integrate_with_no_sample_times_is_empty():
     traj = integrate(SystemParams(0.2, 1.0, 1.0), PhaseState(0.3, 0.8, -0.8, 0.3), 1.0,
                      sample_times=[])
     assert traj.t.size == 0 and traj.energy.size == 0
+
+
+@pytest.mark.parametrize(
+    "times, bad",
+    [
+        ([0.0, math.nan, 0.5], "sample_times[1] = nan"),       # once the row at t = 0 alone
+        ([0.0, 0.5, 1.5], "sample_times[2] = 1.5"),            # past t_end
+        ([-0.1, 0.5], "sample_times[0] = -0.1"),               # before t = 0
+        ([0.0, 0.5, 0.25], "sample_times[2] = 0.25"),          # out of order
+        ([0.0, 0.5, 0.5], "sample_times[2] = 0.5"),            # repeated
+    ],
+)
+def test_integrate_names_the_first_bad_sample_time(times, bad):
+    with pytest.raises(ValidationError, match=re.escape(bad)):
+        integrate(SystemParams(0.2, 1.0, 1.0), PhaseState(0.3, 0.8, -0.8, 0.3), 1.0,
+                  sample_times=times)
 
 
 def test_integrate_validates_inputs():
