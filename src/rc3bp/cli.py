@@ -1,6 +1,7 @@
 """Command-line frontend: one subcommand per library area.
 
-Structured single results go to stdout as JSON with sorted keys;
+Structured single results go to stdout as JSON from this module's own
+writer, byte-identical to `json.dumps(..., sort_keys=True, indent=2)`;
 grids and trajectories are CSV with a fixed column order. Floats are
 emitted at full double precision (17 significant digits in CSV,
 shortest round-trip form in JSON), so identical inputs yield
@@ -19,15 +20,15 @@ figure's JSON is encoded before either of its files is opened.
 Each subcommand imports only the modules it runs. The top of this module
 loads `errors` and `params`; every other rc3bp module (`twobody`,
 `triangular`, `collinear`, `stability`, `dynamics`, `regions`) is
-imported inside the handler that uses it, and `hashlib` inside `_write`,
-so `validate` loads nothing else, and every subcommand but `regions`,
-`reproduce-all` and `integrate` starts without numpy.
+imported inside the handler that uses it, `hashlib` inside `_write`,
+`argparse` in `build_parser`, and `json` only to escape a string outside
+printable ASCII. So `validate` loads nothing else, every subcommand but
+`regions`, `reproduce-all` and `integrate` starts without numpy, and
+`reproduce_all` as a library loads neither `argparse` nor `json`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
@@ -38,6 +39,8 @@ from .errors import NumericError, Rc3bpError, ValidationError
 from .params import MAX_CSV_ROWS, SystemParams
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import regions
 
 
@@ -45,42 +48,56 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
-
-
 def _json_text(payload: dict) -> str:
-    """Sorted, indented JSON; NumericError naming the values that are not finite doubles."""
-    try:
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
-    except ValueError:
-        bad = _non_finite(payload, "")
+    """`json.dumps(payload, sort_keys=True, indent=2)`, byte for byte; NumericError naming
+    each value that is not a finite double, in written order: `orbit.r0`, `l4[1]`."""
+    bad: list[str] = []
+
+    def string(s: str) -> str:    # json's own escapes for anything but printable ASCII
+        if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+            return '"' + s + '"'
+        import json
+
+        return json.dumps(s)
+
+    def text(value, key: str, nl: str) -> str:
+        if hasattr(value, "tolist"):    # a numpy array or scalar
+            value = value.tolist()
+        inner = nl + "  "
+        if isinstance(value, dict):
+            ends, items = "{}", [f"{string(k)}: {text(v, f'{key}.{k}' if key else k, inner)}"
+                                 for k, v in sorted(value.items())]
+        elif isinstance(value, (list, tuple)):
+            ends = "[]"
+            if all([type(v) is float for v in value]) and all(map(math.isfinite, value)):
+                items = map(float.__repr__, value)    # one join per list of finite floats
+            else:
+                items = [text(v, f"{key}[{i}]", inner) for i, v in enumerate(value)]
+        elif isinstance(value, str):
+            return string(value)
+        elif isinstance(value, float):
+            if not math.isfinite(value):
+                bad.append(f"{key} = {float.__repr__(value)}")
+            return float.__repr__(value)
+        elif value is None or isinstance(value, bool):
+            return "null" if value is None else "true" if value else "false"
+        elif isinstance(value, int):
+            return int.__repr__(value)
+        else:
+            raise TypeError(f"not JSON-serializable: {type(value)!r}")
+        return ends[0] + inner + ("," + inner).join(items) + nl + ends[1] if value else ends
+
+    out = text(payload, "", "\n")
+    if bad:
         listed = ", ".join(bad[:4]) + (f" and {len(bad) - 4} more" if len(bad) > 4 else "")
-        raise NumericError(f"the result is not a finite double: {listed}") from None
-
-
-def _non_finite(value, key: str) -> list[str]:
-    """`key = value` for each float in a JSON-shaped value that is not finite, keys in
-    the order `_json_text` writes them: `orbit.r0` in a dict, `l4[1]` in a list."""
-    if hasattr(value, "tolist"):   # a numpy array or scalar
-        value = value.tolist()
-    if isinstance(value, float):
-        return [] if math.isfinite(value) else [f"{key} = {value!r}"]
-    if isinstance(value, dict):
-        items = [(f"{key}.{k}" if key else str(k), v) for k, v in sorted(value.items())]
-    elif isinstance(value, (list, tuple)):
-        items = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
-    else:
-        return []
-    return [bad for k, v in items for bad in _non_finite(v, k)]
+        raise NumericError(f"the result is not a finite double: {listed}")
+    return out
 
 
 def _floats(names: str):
     """argparse type: comma-separated floats, one per name in `names` ("x,y")."""
+    import argparse
+
     count = names.count(",") + 1
 
     def parse(text: str) -> tuple[float, ...]:
@@ -321,6 +338,8 @@ def _add_params_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rc3bp",
         description="Planar circular restricted charged three-body problem toolkit",

@@ -8,6 +8,7 @@ scipy outside `integrate`, numpy only for `regions` and `integrate`, and
 per subcommand exactly the rc3bp modules it runs.
 """
 
+import hashlib
 import importlib
 import json
 import math
@@ -180,16 +181,18 @@ _CLI_CASES = [
 ]
 
 # cli.main in a new interpreter; the last stderr line is a JSON list: whether
-# numpy, hashlib, dataclasses and inspect got loaded, and the rc3bp submodules
-# that did
+# numpy, hashlib, dataclasses, inspect and json got loaded, and the rc3bp
+# submodules that did, all read before this script imports json itself
 _FRESH_MAIN = "\n".join(
     [
-        "import json, sys",
+        "import sys",
         "from rc3bp.cli import main",
         "code = main(sys.argv[1:])",
         "own = sorted(m[6:] for m in sys.modules if m.startswith('rc3bp.'))",
-        "loaded = [m in sys.modules for m in ('numpy', 'hashlib', 'dataclasses', 'inspect')]",
+        "names = ('numpy', 'hashlib', 'dataclasses', 'inspect', 'json')",
+        "loaded = [m in sys.modules for m in names]",
         "loaded.append(own)",
+        "import json",
         "print(json.dumps(loaded), file=sys.stderr)",
         "sys.exit(code)",
     ]
@@ -208,14 +211,36 @@ def test_cli_subcommand_in_a_fresh_process(key, needs_numpy, modules, tmp_path):
     proc = _run_fresh(_FRESH_MAIN, *key.split(" "), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == reference[key]
-    numpy_loaded, hashlib_loaded, dataclasses_loaded, inspect_loaded, own = json.loads(proc.stderr)
+    numpy_loaded, hashlib_loaded, dataclasses_loaded, inspect_loaded, json_loaded, own = (
+        json.loads(proc.stderr)
+    )
     assert numpy_loaded == needs_numpy
     # scipy loads hashlib for integrate; the figure writer imports it itself
     assert needs_numpy or not hashlib_loaded
     # the records are NamedTuples; scipy, for integrate, loads dataclasses itself
     assert key.startswith("integrate") or not dataclasses_loaded
     assert needs_numpy or not inspect_loaded
+    # the JSON writer is the package's own; scipy, for integrate, loads json itself
+    assert key.startswith("integrate") or not json_loaded
     assert set(own) == {"cli", "errors", "params"} | modules
+
+
+def test_reproduce_all_as_a_library_loads_neither_argparse_nor_json(tmp_path):
+    code = "\n".join(
+        [
+            "import sys",
+            "import rc3bp.cli",
+            "rc3bp.cli.reproduce_all(sys.argv[1], resolution=8)",
+            "loaded = [m for m in ('argparse', 'json') if m in sys.modules]",
+            "assert not loaded, loaded",
+        ]
+    )
+    proc = _run_fresh(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    files = json.loads((tmp_path / "manifest.json").read_text())["files"]
+    digests = {e["file"]: hashlib.sha256((tmp_path / e["file"]).read_bytes()).hexdigest()
+               for e in files}
+    assert len(files) == 26 and digests == {e["file"]: e["sha256"] for e in files}
 
 
 def test_cli_unknown_figure_exits_2_in_a_fresh_process(tmp_path):

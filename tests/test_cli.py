@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rc3bp import _brent, cli, collinear, regions
 from rc3bp.cli import main
@@ -481,6 +483,63 @@ def test_json_that_is_not_finite_names_its_keys_in_written_order():
         "the result is not a finite double: a.l4[1] = -inf, z[0] = nan, z[1] = nan, "
         "z[2] = nan and 3 more"
     )
+    # a NaN inside an (n, 2) polyline, whose rows the writer joins in one go
+    points = np.ones((5, 2))
+    points[3, 1] = math.nan
+    with pytest.raises(cli.NumericError) as info:
+        cli._json_text({"curves": {"polylines": {"p": points, "q": points[:2]}}})
+    assert str(info.value) == "the result is not a finite double: curves.polylines.p[3][1] = nan"
+
+
+def _json_dumps(payload) -> str:
+    """The standard library's text for what `cli._json_text` writes."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=lambda a: a.tolist())
+
+
+def test_json_text_matches_json_dumps_on_every_figure():
+    for figure in regions.FIGURES:
+        dataset = regions.figure_dataset(figure, resolution=16)
+        payload = {
+            "figure": dataset.figure,
+            "parameters": dataset.parameters,
+            "legend": list(dataset.raster.legend),
+            "curves": dataset.curves,
+        }
+        assert cli._json_text(payload) == _json_dumps(payload), figure
+
+
+# strings that need every kind of escape, and doubles and ints at their edges
+_JSON_STRINGS = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\ta~ é\u2028\U0001f600') | st.characters())
+_JSON_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_JSON_LEAVES = st.one_of(
+    _JSON_STRINGS, _JSON_FLOATS, st.integers() | st.sampled_from([2**63, -(2**64) - 1]),
+    st.booleans(), st.none(),
+    st.lists(_JSON_FLOATS, max_size=5).map(np.array),
+    st.lists(st.tuples(_JSON_FLOATS, _JSON_FLOATS), max_size=4).map(
+        lambda rows: np.array(rows, float).reshape(-1, 2)    # (0, 2) when empty
+    ),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=75)
+@given(st.dictionaries(_JSON_STRINGS, _JSON_VALUES, max_size=5))
+def test_json_text_matches_json_dumps_on_json_shaped_payloads(payload):
+    assert cli._json_text(payload) == _json_dumps(payload)
+
+
+def test_regions_stdout_escapes_the_out_path_as_json_does(tmp_path, capsys):
+    base = str(tmp_path / 'a "quoted" é')
+    code, out, _ = run(capsys, "regions", "--figure", "5", "--resolution", "8", "--out", base)
+    expected = {"figure": 5, "csv": base + ".csv", "json": base + ".json"}
+    assert code == 0 and out == _json_dumps(expected) + "\n"
 
 
 def test_figure_json_that_is_not_finite_exits_3_before_writing(tmp_path, monkeypatch, capsys):
