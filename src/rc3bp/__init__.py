@@ -24,7 +24,7 @@ _EXPORTS = {
         "NonpositiveRadius", "NoTriangularSolution", "NotOnLimitLocus",
         "NotOnTriangularLocus", "NotRepulsive", "NumericError", "Rc3bpError",
         "RootNotBracketed", "StepSizeUnderflow", "ValidationError",
-        "ZeroAngularMomentum", "ZeroThirdCharge",
+        "WorkBudgetExceeded", "ZeroAngularMomentum", "ZeroThirdCharge",
     ),
     "params": (
         "PhysicalSystem", "SystemParams", "is_admissible", "reduce",

@@ -23,6 +23,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import CollisionSingularity, NumericError, StepSizeUnderflow, ValidationError
+from .errors import WorkBudgetExceeded
 from .params import SystemParams
 
 if TYPE_CHECKING:
@@ -34,6 +35,11 @@ DEFAULT_COLLISION_RADIUS = 1e-6
 
 # DOP853 rejects rtol below ~100*eps; floor quietly instead of warning.
 _MIN_RTOL = 2.5e-14
+
+# The most right-hand-side evaluations one `integrate` makes: the t = 100 orbit of the
+# acceptance tests takes 349,946, and a tight orbit about a primary makes some 70,000 a
+# second (2-vCPU Xeon), so it stops within about 8 s.
+MAX_RHS_EVALUATIONS = 500_000
 
 
 class PhaseState(NamedTuple):
@@ -155,10 +161,16 @@ def hamiltonian(params: SystemParams, state: PhaseState) -> float:
     raise NumericError(f"H is not a finite double at {state!r}")
 
 
-def _canonical_field(mu: float, k1: float, k2: float):
-    """The canonical equations as solve_ivp's (t, v) -> (x', y', px', py')."""
+def _canonical_field(mu: float, k1: float, k2: float, budget: float = math.inf):
+    """The canonical equations as solve_ivp's (t, v) -> (x', y', px', py'); the
+    evaluation past `budget` raises _OverBudget(t) instead."""
+    evaluations = 0
 
     def rhs(t: float, v) -> list[float]:
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > budget:
+            raise _OverBudget(t)
         x, y, px, py = v
         dx1, dx2 = x + mu, x - 1.0 + mu
         r13 = (dx1 * dx1 + y * y) ** 1.5
@@ -168,6 +180,10 @@ def _canonical_field(mu: float, k1: float, k2: float):
         return [y + px, -x + py, vx + py, vy - px]
 
     return rhs
+
+
+class _OverBudget(Exception):
+    """Raised through solve_ivp by a right-hand side past its budget, at time args[0]."""
 
 
 def eom(params: SystemParams, state: PhaseState) -> tuple[float, float, float, float]:
@@ -229,7 +245,9 @@ def integrate(
     reason "collision-approach"; a start that is already that close is
     the one sample at t = 0. A start on a primary raises
     CollisionSingularity, and one where H is not a finite double raises
-    NumericError, as `hamiltonian` does.
+    NumericError, as `hamiltonian` does. A run that needs more than
+    MAX_RHS_EVALUATIONS evaluations of the right-hand side raises
+    WorkBudgetExceeded.
     """
     import numpy as np
 
@@ -269,16 +287,22 @@ def integrate(
 
     close_approach.terminal = True  # type: ignore[attr-defined]
 
-    sol = solve_ivp(
-        _canonical_field(mu, k1, k2),
-        (0.0, float(t_end)),
-        s0.as_array(),
-        method="DOP853",
-        rtol=max(tol, _MIN_RTOL),
-        atol=tol,
-        t_eval=t_eval,
-        events=close_approach,
-    )
+    try:
+        sol = solve_ivp(
+            _canonical_field(mu, k1, k2, MAX_RHS_EVALUATIONS),
+            (0.0, float(t_end)),
+            s0.as_array(),
+            method="DOP853",
+            rtol=max(tol, _MIN_RTOL),
+            atol=tol,
+            t_eval=t_eval,
+            events=close_approach,
+        )
+    except _OverBudget as stop:
+        raise WorkBudgetExceeded(
+            f"integrate reached t = {float(stop.args[0])!r} of t_end = {t_end!r} in its budget of "
+            f"{MAX_RHS_EVALUATIONS} right-hand-side evaluations; try a shorter --t-end"
+        ) from None
     if sol.status == -1:
         raise StepSizeUnderflow(sol.message)
 

@@ -60,6 +60,10 @@ class StepSizeUnderflow(NumericError):
     """The adaptive integrator could not meet the tolerance with a representable step."""
 
 
+class WorkBudgetExceeded(NumericError):
+    """The integrator spent its budget of right-hand-side evaluations before t_end."""
+
+
 # equilibria
 class NoTriangularSolution(ValidationError):
     """The parameters do not satisfy the triangular existence conditions."""
@@ -88,7 +92,7 @@ class NotOnTriangularLocus(ValidationError):
 
 
 class BelowCriticalMass(ValidationError):
-    """gamma_mu(mu) requested for mu <= mu*, where F(mu, .) never vanishes."""
+    """gamma_mu(mu) requested for mu < mu*, where F(mu, .) never vanishes."""
 
 
 # region geometry

@@ -27,9 +27,8 @@ from .collinear import COLLINEAR_LEGEND, Interval
 from .dynamics import _distances
 from .errors import DegenerateGamma, ValidationError
 from .params import MAX_CSV_ROWS, _Checked, _require_folded_mu, _require_mu, is_admissible
-from .stability import StabilityClass, _cos_gamma, _discriminant, _stability_index
-from .stability import critical_mu, gamma_mu
-from .triangular import _strict_triangle
+from .stability import StabilityClass, _discriminant, _stability_index, critical_mu, gamma_mu
+from .triangular import _triangle
 
 _DEFAULT_RESOLUTION = 512
 _POLYLINE_POINTS = 1024
@@ -173,10 +172,10 @@ def admissible_boundary_polylines() -> dict[str, np.ndarray]:
 
 
 def _triangular_space(space: str, mu: float | None):
-    """(mu, window) of figure 6 (parameter space, no mu) or figure 7
+    """(mu, window) of figure 6 (parameter space, mu None) or figure 7
     (configuration space, mu defaulted)."""
     if space == "parameter":
-        return mu, _DELTA_WINDOW
+        return None, _DELTA_WINDOW
     if space == "configuration":
         mu = FIGURE_DEFAULT_MU[7] if mu is None else mu
         _require_mu(mu)
@@ -190,23 +189,16 @@ def triangular_region_raster(
     """Existence of the off-axis pair, in (delta1, delta2) or (x, y) cells.
 
     Parameter space needs no mu; configuration space maps each (x, y) to
-    (rho1, rho2) and labels by the induced betas. `NoTriangle` marks a
-    failed strict triangle inequality, `Inadmissible` a sound triangle
-    whose betas violate admissibility.
+    (rho1, rho2) and labels by the induced betas. `NoTriangle` marks sides
+    that fail the strict triangle inequalities, decided exactly (a point on
+    the axis is flat), `Inadmissible` a proper triangle whose betas violate
+    admissibility.
     """
     mu, window = _triangular_space(space, mu)
-
-    def label(d1, d2, _):
-        if space == "configuration":
-            d1, d2 = _distances(np.hypot, mu, d1, d2)
-        # NoTriangle 0, else Inadmissible 1 or Exists 2
-        return _strict_triangle(d1, d2) * (1 + is_admissible(d1**3, d2**3))
-
-    if space == "parameter":
-        predicate = "triangular_exists(delta)"
-    else:
-        predicate = f"triangular_exists(rho; mu={mu!r})"
-    return _label_blocks(*window, resolution, label, TRIANGULAR_LEGEND, predicate)
+    predicate = "triangular_exists(delta)" if mu is None else f"triangular_exists(rho; mu={mu!r})"
+    return _label_blocks(
+        *window, resolution, lambda x, y, _: _triangle_labels(x, y, mu), TRIANGULAR_LEGEND, predicate
+    )
 
 
 def _config_lens_bounds() -> tuple[float, float]:
@@ -317,24 +309,19 @@ def collinear_boundary_polylines(interval: Interval, mu: float) -> dict[str, np.
 # stability classification rasters (figures 15-21)
 
 
-def _classify_f_grid(domain: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """STABILITY_LEGEND labels: OutsideDomain off `domain`, else F's class."""
-    return np.where(domain, 1 + _stability_index(f), 0)
-
-
-def _triangle_stability(mu: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Stability-class labels of the triangles (r1, r2, 1), via cos gamma and F.
-
-    Out-of-domain cells violate the closed triangle inequalities or the
-    induced admissibility (r1^3-1)(r2^3-1) < 1.
-    """
-    sound = (r1 > 0.0) & (r2 > 0.0) & is_admissible(r1**3, r2**3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(sound, _cos_gamma(r1, r2), np.nan)
-    domain = sound & (np.abs(c) <= 1.0)
-    f = np.zeros(domain.shape)
-    f[domain] = _discriminant(mu, 1.0 - c[domain] ** 2)      # sin^2 = 1 - cos^2
-    return _classify_f_grid(domain, f)
+def _triangle_labels(x, y, mu=None, stability_mu=None) -> np.ndarray:
+    """TRIANGULAR_LEGEND labels of the cells' triangles (`triangular._triangle`), with
+    sides (x, y) or, given mu, the distances of the point (x, y) to the primaries; given
+    stability_mu, STABILITY_LEGEND labels, OutsideDomain off the closed triangle
+    inequalities or the induced admissibility (r1^3-1)(r2^3-1) < 1."""
+    r1, r2 = (x, y) if mu is None else _distances(np.hypot, mu, x, y)
+    admissible = is_admissible(r1**3, r2**3)
+    with np.errstate(invalid="ignore"):                       # sin2 is 0/0 at a primary
+        closed, flat, sin2 = _triangle(r1, r2, None if mu is None else y, stability_mu is not None)
+    if stability_mu is None:
+        proper = closed & ~flat                               # NoTriangle 0, Inadmissible 1,
+        return proper.view(np.int8) + (proper & admissible)   # Exists 2
+    return np.where(closed & admissible, 1 + _stability_index(_discriminant(stability_mu, sin2)), 0)
 
 
 def stability_map_raster(resolution=None) -> RegionRaster:
@@ -342,7 +329,7 @@ def stability_map_raster(resolution=None) -> RegionRaster:
     cell center lies inside the domain 0 < mu <= 1/2."""
     return _label_blocks(
         *_STABILITY_MAP_WINDOW, resolution,
-        lambda mu, gam, _: _classify_f_grid(True, _discriminant(mu, np.sin(gam) ** 2)),
+        lambda mu, gam, _: 1 + _stability_index(_discriminant(mu, np.sin(gam) ** 2)),
         STABILITY_LEGEND, "sign(F(mu, gamma))",
     )
 
@@ -360,7 +347,7 @@ def configuration_stability_raster(mu: float, resolution=None) -> RegionRaster:
     _require_mu(mu)
     return _label_blocks(
         *_CONFIGURATION_WINDOW, resolution,
-        lambda x, y, _: _triangle_stability(mu, *_distances(np.hypot, mu, x, y)),
+        lambda x, y, _: _triangle_labels(x, y, mu, mu),
         STABILITY_LEGEND, f"classify_triangular(rho; mu={mu!r})",
     )
 
@@ -369,7 +356,7 @@ def parameter_stability_raster(mu: float, resolution=None) -> RegionRaster:
     """(delta1, delta2) cells labeled by the stability class (figures 19-21)."""
     _require_mu(mu)
     return _label_blocks(
-        *_STABILITY_DELTA_WINDOW, resolution, lambda d1, d2, _: _triangle_stability(mu, d1, d2),
+        *_STABILITY_DELTA_WINDOW, resolution, lambda d1, d2, _: _triangle_labels(d1, d2, None, mu),
         STABILITY_LEGEND, f"classify_triangular(delta; mu={mu!r})",
     )
 

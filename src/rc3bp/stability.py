@@ -109,29 +109,20 @@ def _biquadratic_roots(p: float, d: float) -> tuple[complex, complex, complex, c
     return (lp, -lp, lm, -lm)
 
 
-def _on_limit_locus(params: SystemParams) -> bool:
-    if params.beta1 <= 0.0 or params.beta2 <= 0.0 or not params.admissible:
-        return False
-    return _limit_line(params) is not None
-
-
 def gamma_of(params: SystemParams) -> float:
     """The angle gamma in [0, pi] with cos gamma = (1 - rho1^2 - rho2^2)/(2 rho1 rho2).
 
     Defined at triangular points (rho_i = beta_i^(1/3)) and on the
     degenerate limit lines, where it evaluates to 0 or pi.
     """
-    if not (triangular_exists(params) or _on_limit_locus(params)):
+    positive = params.beta1 > 0.0 and params.beta2 > 0.0 and params.admissible
+    if not (positive and (triangular_exists(params) or _limit_line(params) is not None)):
         raise NotOnTriangularLocus(
             f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) supports no "
             "triangular point and is not on a degenerate limit line"
         )
-    return math.acos(min(1.0, max(-1.0, _cos_gamma(params.delta1, params.delta2))))
-
-
-def _cos_gamma(r1, r2):
-    """cos gamma = (1 - r1**2 - r2**2)/(2 r1 r2) of the triangle (r1, r2, 1); scalars or arrays."""
-    return (1.0 - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
+    r1, r2 = params.delta1, params.delta2
+    return math.acos(min(1.0, max(-1.0, (1.0 - r1 * r1 - r2 * r2) / (2.0 * r1 * r2))))
 
 
 def _discriminant(mu, sin2):
@@ -153,16 +144,17 @@ def critical_mu() -> float:
 
 
 def gamma_mu(mu: float) -> float:
-    """The boundary angle arcsin(1/(6 sqrt(mu(1-mu)))) for mu above critical.
+    """The boundary angle arcsin(1/(6 sqrt(mu(1-mu)))) for mu at or above critical.
 
-    F(mu, .) vanishes exactly at gamma_mu and pi - gamma_mu.
+    F(mu, .) vanishes exactly at gamma_mu and pi - gamma_mu; at mu* both are pi/2.
     """
     _require_folded_mu(mu)
-    if mu <= critical_mu():
+    if mu < critical_mu():
         raise BelowCriticalMass(
             f"mu = {mu!r} is below the critical ratio {critical_mu()!r}; F never vanishes"
         )
-    return math.asin(1.0 / (6.0 * math.sqrt(mu * (1.0 - mu))))
+    # the argument rounds above 1 from mu* to 12 ulp past it
+    return math.asin(min(1.0, 1.0 / (6.0 * math.sqrt(mu * (1.0 - mu)))))
 
 
 def classify_triangular(params: SystemParams) -> StabilityReport:

@@ -2,7 +2,8 @@
 
 A pair of off-axis equilibria exists exactly when beta1, beta2 > 0, the
 cube roots delta_i = beta_i**(1/3) satisfy the strict triangle
-inequalities with the unit primary separation, and the admissibility
+inequalities with the unit primary separation (decided exactly by
+`_triangle`, which figures 6, 7 and 16-21 share), and the admissibility
 constraint holds. The points sit at distances rho_i = delta_i from the
 primaries:
 
@@ -55,14 +56,34 @@ class TriangularPair(NamedTuple):
 
 
 def triangular_exists(params: SystemParams) -> bool:
-    """True iff the closed-form triangular pair exists (strict inequalities)."""
-    return params.admissible and _strict_triangle(params.delta1, params.delta2)
+    """True iff the closed-form triangular pair exists (strict inequalities, decided exactly)."""
+    closed, flat, _ = _triangle(params.delta1, params.delta2, area=False)
+    return params.beta1 > 0.0 and params.beta2 > 0.0 and params.admissible and closed and not flat
 
 
-def _strict_triangle(d1, d2):
-    """Whether positive sides d1, d2 and the unit separation make a strict
-    triangle. Floats or numpy arrays; `triangular_region_raster` labels by it."""
-    return (d1 > 0.0) & (d2 > 0.0) & (d1 + d2 > 1.0) & (abs(d1 - d2) < 1.0)
+def _triangle(r1, r2, y=None, area=True):
+    """(closed, flat, sin2 = sin(gamma)**2 if `area`) of the triangle with sides r1, r2 > 0 and 1,
+    floats or arrays. With s = r1 + r2, t = r1 - r2, the signs of s - 1 and of (1 - t)(1 + t)
+    are exact for sides up to 2**53: 1 - r is exact for r >= 1/2 (Sterbenz), and s - 1 is
+    r1 - (1 - r2) less the rounding error of 1 - r2 (Fast2Sum, Dekker 1971). sin2 is the area
+    form (s + 1)(s - 1)(1 - t)(1 + t)/(2 r1 r2)**2, bitwise symmetric on the closed domain.
+    Given the height y of the point at distances r1, r2 from the primaries, the triangle is flat
+    iff y == 0 and sin2 = (y / (r1 r2))**2."""
+    if y is not None:
+        return (r1 > 0.0) & (r2 > 0.0), y == 0.0, (y / (r1 * r2)) ** 2 if area else None
+    u1, u2 = 1.0 - r1, 1.0 - r2
+    short, wide = r1 - u2, r2 + u1                    # in place below: few block temporaries
+    short -= (1.0 - u2) - r2                          # s - 1
+    wide *= r1 + u2                                   # (1 - t)(1 + t), negative iff one is
+    closed, flat = (short >= 0.0) & (wide >= 0.0), (short == 0.0) | (wide == 0.0)
+    if not area:
+        return closed, flat, None
+    sin2 = short + 2.0
+    sin2 *= short
+    sin2 *= wide
+    del short, wide
+    sin2 /= (2.0 * r1 * r2) ** 2
+    return closed, flat, sin2
 
 
 def triangular_points(params: SystemParams) -> TriangularPair:

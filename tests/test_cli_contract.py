@@ -153,14 +153,27 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
 
 
-@settings(CONTRACT, max_examples=40)
+def _ulps_from(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+# mu* = 1/2 - sqrt(2)/3, where F first reaches 0, and the doubles a few ulp either side
+NEAR_CRITICAL = st.integers(-4, 16).map(lambda k: _ulps_from(0.5 - math.sqrt(2.0) / 3.0, k))
+
+
+@settings(CONTRACT, max_examples=60)
 @given(
-    figure=st.integers(0, 20),
-    mu=_optional(MASS_RATIOS),
+    figure_mu=st.one_of(
+        st.tuples(st.integers(0, 20), _optional(MASS_RATIOS)),
+        st.tuples(st.integers(16, 21), NEAR_CRITICAL),
+    ),
     resolution=st.integers(-1, 8),
     missing_dir=st.booleans(),
 )
-def test_regions_keeps_the_exit_contract(out_dir, figure, mu, resolution, missing_dir):
+def test_regions_keeps_the_exit_contract(out_dir, figure_mu, resolution, missing_dir):
+    figure, mu = figure_mu
     out = out_dir / "missing" / "figure" if missing_dir else out_dir / "figure"
     _check_json(["regions", *_flags(figure=figure, mu=mu, resolution=resolution, out=out)])
 

@@ -7,6 +7,8 @@ import re
 import numpy as np
 import pytest
 
+from rc3bp import dynamics
+from rc3bp.cli import main
 from rc3bp.dynamics import (
     PhaseState,
     eom,
@@ -18,7 +20,7 @@ from rc3bp.dynamics import (
     potential,
     primary_distances,
 )
-from rc3bp.errors import CollisionSingularity, NumericError, ValidationError
+from rc3bp.errors import CollisionSingularity, NumericError, ValidationError, WorkBudgetExceeded
 from rc3bp.params import SystemParams
 from test_brent import _run_fresh
 
@@ -300,3 +302,17 @@ def test_repulsive_dynamics_pushes_outward():
     r_start = math.hypot(traj.states[0, 0], traj.states[0, 1])
     r_end = math.hypot(traj.states[-1, 0], traj.states[-1, 1])
     assert r_end > r_start
+
+
+def test_integrate_stops_at_its_work_budget(monkeypatch, capsys):
+    # past MAX_RHS_EVALUATIONS the run ends in a typed error naming the t it reached
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALUATIONS", 2000)
+    p, s0 = SystemParams(0.2, 1.0, 1.0), PhaseState(0.5, 0.5, 0.0, 0.0)
+    with pytest.raises(WorkBudgetExceeded, match=r"reached t = .* budget of 2000 ") as err:
+        integrate(p, s0, 100.0)
+    assert err.value.exit_code == 3
+    assert len(integrate(p, s0, 1.0).t) > 1                    # a short run fits the budget
+    argv = ["integrate", "--mu=0.2", "--beta1=1", "--beta2=1", "--state=0.5,0.5,0,0", "--t-end=100"]
+    assert main(argv) == 3
+    out, err_text = capsys.readouterr()
+    assert out == "" and "try a shorter --t-end" in err_text

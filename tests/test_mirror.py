@@ -15,11 +15,14 @@ raises an error that is not an `Rc3bpError`.
 import contextlib
 import io
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rc3bp
 from rc3bp.cli import main
+from rc3bp.triangular import _triangle
 
 # 1 - mu is exact for each of these
 MASS_RATIOS = st.sampled_from([0.5, 0.375, 0.25, 0.125, 2.0**-10])
@@ -70,3 +73,30 @@ def test_the_mirrored_problem_has_the_same_answers(mu, beta1, beta2):
     answers = _answers(mu, beta1, beta2)
     mirrored = {key.translate(_SWAP): v for key, v in _answers(1.0 - mu, beta2, beta1).items()}
     assert answers == mirrored
+
+
+# In parameter space the mirror swaps the two sides of the triangle (delta1, delta2, 1),
+# and F is symmetric in mu <-> 1 - mu, so figures 6 and 19-21 are their own transposes.
+@pytest.mark.parametrize("resolution", [100, 101, 128, 500])
+def test_the_parameter_space_figures_equal_their_transposes(resolution):
+    for figure in (6, 19, 20, 21):
+        labels = rc3bp.figure_dataset(figure, resolution=resolution).raster.labels
+        assert np.array_equal(labels, labels.T), (figure, np.count_nonzero(labels != labels.T))
+
+
+def test_the_triangle_kernel_is_bitwise_symmetric_on_its_closed_domain():
+    # sides within a few ulp of the three degeneracy lines and on a coarse grid
+    rng = np.random.default_rng(7)
+    d1 = np.concatenate([rng.uniform(0.0, 3.0, 4000), np.linspace(0.01, 2.99, 300)])
+    d2 = np.concatenate([
+        np.nextafter(d1[:1000] + 1.0, rng.choice([0.0, 9.0], 1000)),
+        np.nextafter(1.0 - d1[1000:2000], rng.choice([-1.0, 9.0], 1000)),
+        rng.uniform(0.0, 3.0, 2000), d1[-300:][::-1],
+    ])
+    keep = (d1 > 0.0) & (d2 > 0.0)
+    d1, d2 = d1[keep], d2[keep]
+    closed, flat, sin2 = _triangle(d1, d2)
+    closed_t, flat_t, sin2_t = _triangle(d2, d1)
+    assert np.array_equal(closed, closed_t) and np.array_equal(flat, flat_t)
+    assert np.array_equal(sin2[closed], sin2_t[closed])
+    assert 0.2 * d1.size < np.count_nonzero(closed) < 0.9 * d1.size

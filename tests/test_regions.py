@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -481,19 +482,45 @@ def test_figure_dataset_defaults_and_validation():
 # row blocks
 
 
-def _triangle_label(d1, d2):
-    """TRIANGULAR_LEGEND index of one (d1, d2) cell, in Python floats."""
-    if not (d1 > 0.0 and d2 > 0.0 and d1 + d2 > 1.0 and abs(d1 - d2) < 1.0):
-        return 0
-    return 2 if is_admissible(d1**3, d2**3) else 1
+def _squared_sides(x, y, mu=None):
+    """The exact squared sides of a cell's triangle: the center (x, y) itself, or, given
+    mu, the distances of the point (x, y) to the primaries at -mu and 1 - mu."""
+    if mu is None:
+        return Fraction(x) ** 2, Fraction(y) ** 2
+    x, y, mu = Fraction(x), Fraction(y), Fraction(mu)
+    return (x + mu) ** 2 + y * y, (x + mu - 1) ** 2 + y * y
 
 
-def _triangle_stability_label(mu, r1, r2):
-    """STABILITY_LEGEND index of the triangle (r1, r2, 1), in Python floats."""
-    if not (r1 > 0.0 and r2 > 0.0 and is_admissible(r1**3, r2**3)):
+def _heron(p, q):
+    """(closed, flat, sin(gamma)**2) of the triangle with squared sides p, q and 1, from
+    16 area**2 = 4pq - (p + q - 1)**2 in exact rationals, sin2 rounded once at the end."""
+    if not (p > 0 and q > 0):
+        return False, False, math.nan
+    h = 4 * p * q - (p + q - 1) ** 2
+    return h >= 0, h == 0, float(h / (4 * p * q))
+
+
+def _raster_sides(x, y, mu=None):
+    """The sides the raster cubes for admissibility: (x, y), or the point's distances."""
+    return (x, y) if mu is None else primary_distances(mu, x, y)
+
+
+def _triangle_label(x, y, mu=None):
+    """TRIANGULAR_LEGEND index of one cell: the triangle decided exactly."""
+    closed, flat, _ = _heron(*_squared_sides(x, y, mu))
+    if not closed or flat:
         return 0
-    c = (1.0 - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
-    return 0 if abs(c) > 1.0 else 1 + _stability_index(_discriminant(mu, 1.0 - c * c))
+    r1, r2 = _raster_sides(x, y, mu)
+    return 2 if is_admissible(r1**3, r2**3) else 1
+
+
+def _triangle_stability_label(mu, x, y, points=False):
+    """STABILITY_LEGEND index of one cell: the domain decided exactly, F from the exact sin2."""
+    closed, _, sin2 = _heron(*_squared_sides(x, y, mu if points else None))
+    r1, r2 = _raster_sides(x, y, mu if points else None)
+    if not (closed and is_admissible(r1**3, r2**3)):
+        return 0
+    return 1 + _stability_index(_discriminant(mu, sin2))
 
 
 def _collinear_label(interval, b1, b2):
@@ -515,7 +542,7 @@ _BUILDERS = {
     ),
     "triangular-configuration": (
         lambda res: triangular_region_raster("configuration", mu=0.3, resolution=res),
-        lambda x, y: _triangle_label(*primary_distances(0.3, x, y)),
+        lambda x, y: _triangle_label(x, y, 0.3),
     ),
     **{
         f"collinear-{iv.value}": (
@@ -530,7 +557,7 @@ _BUILDERS = {
     ),
     "configuration-stability": (
         lambda res: configuration_stability_raster(0.25, resolution=res),
-        lambda x, y: _triangle_stability_label(0.25, *primary_distances(0.25, x, y)),
+        lambda x, y: _triangle_stability_label(0.25, x, y, points=True),
     ),
     "parameter-stability": (
         lambda res: parameter_stability_raster(0.25, resolution=res),

@@ -136,8 +136,21 @@ def test_gamma_mu_marks_the_zero_of_f():
         assert abs(f_stability(mu, math.pi - g)) < 1e-12
     with pytest.raises(BelowCriticalMass):
         gamma_mu(critical_mu() * 0.5)
-    with pytest.raises(BelowCriticalMass):
-        gamma_mu(critical_mu())     # equality: F never vanishes on (0, pi)
+    assert gamma_mu(critical_mu()) == math.pi / 2.0     # at mu*, F = cos(gamma)**2 vanishes at pi/2
+
+
+def test_gamma_mu_at_and_just_above_the_critical_ratio():
+    # 1/(6 sqrt(mu(1 - mu))) rounds above 1 from mu* to 12 ulp past it
+    mu = critical_mu()
+    below = math.nextafter(mu, 0.0)
+    with pytest.raises(BelowCriticalMass, match="is below the critical ratio"):
+        gamma_mu(below)
+    angles = []
+    for _ in range(16):
+        angles.append(gamma_mu(mu))
+        mu = math.nextafter(mu, 1.0)
+    assert angles[:13] == [math.pi / 2.0] * 13
+    assert all(a <= math.pi / 2.0 for a in angles) and gamma_mu(mu + 1e-9) < math.pi / 2.0
 
 
 def test_classification_stable_branch():

@@ -2,16 +2,17 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rc3bp.dynamics import omega_gradient
-from rc3bp.errors import NoTriangularSolution
+from rc3bp.errors import NoTriangularSolution, NumericError
 from rc3bp.params import SystemParams, is_admissible
 from rc3bp.triangular import (
     TriangularLocation,
-    _strict_triangle,
+    _triangle,
     classify_location,
     triangular_exists,
     triangular_points,
@@ -75,9 +76,15 @@ def test_existence_requires_triangle_inequalities():
     assert not triangular_exists(SystemParams(0.3, 0.001, 0.001))    # too short
     assert not triangular_exists(SystemParams(0.3, 8.0, 0.001))     # too lopsided
     assert triangular_exists(SystemParams(0.3, 1.0, 1.0))
-    # degenerate (collinear) triangles are excluded
-    d1 = 0.4
-    assert not triangular_exists(SystemParams(0.3, d1**3, (1.0 - d1) ** 3))
+    # flat (collinear) triangles are excluded: here delta1 = delta2 = 1/2 exactly
+    assert not triangular_exists(SystemParams(0.3, 0.125, 0.125))
+    # the cube roots of 0.4**3 and 0.6**3 sum to 1 + 2**-54: a proper triangle,
+    # too thin for the closed-form yL in doubles
+    p = SystemParams(0.3, 0.4**3, 0.6**3)
+    assert Fraction(p.delta1) + Fraction(p.delta2) - 1 == Fraction(1, 2**54)
+    assert triangular_exists(p)
+    with pytest.raises(NumericError):
+        triangular_points(p)
     # nonpositive strengths never give an off-axis point
     assert not triangular_exists(SystemParams(0.3, -1.0, 2.0))
     assert not triangular_exists(SystemParams(0.3, 2.0, 0.0))
@@ -162,12 +169,18 @@ def _near_degeneracy_lines(rng, draws):
 
 
 def test_triangular_exists_matches_the_array_kernel_near_the_lines():
-    # the scalar answer and the raster's numpy evaluation of the same kernel
-    # agree cell for cell, also within a few ulp of the degeneracy lines
+    # within a few ulp of the degeneracy lines the scalar answer is the strict
+    # triangle decided in exact rationals, and the raster's numpy evaluation of
+    # the same kernel agrees with it cell for cell
     ps = _near_degeneracy_lines(random.Random(20), 600)
+    exact = []
+    for p in ps:
+        d1, d2 = Fraction(p.delta1), Fraction(p.delta2)
+        exact.append(p.admissible and min(d1 + d2 - 1, 1 - abs(d1 - d2)) > 0)
+    assert [triangular_exists(p) for p in ps] == exact
     d1, d2, b1, b2 = (
         np.array([getattr(p, k) for p in ps]) for k in ("delta1", "delta2", "beta1", "beta2")
     )
-    kernel = _strict_triangle(d1, d2) & is_admissible(b1, b2)
-    assert [triangular_exists(p) for p in ps] == kernel.tolist()
-    assert 0.1 * len(ps) < np.count_nonzero(kernel) < 0.9 * len(ps)   # both sides drawn
+    closed, flat, _ = _triangle(d1, d2)
+    assert (closed & ~flat & is_admissible(b1, b2)).tolist() == exact
+    assert 0.1 * len(ps) < sum(exact) < 0.9 * len(ps)   # both sides drawn
