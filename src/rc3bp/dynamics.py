@@ -288,35 +288,37 @@ def integrate(
     close_approach.terminal = True  # type: ignore[attr-defined]
 
     try:
-        sol = solve_ivp(
-            _canonical_field(mu, k1, k2, MAX_RHS_EVALUATIONS),
-            (0.0, float(t_end)),
-            s0.as_array(),
-            method="DOP853",
-            rtol=max(tol, _MIN_RTOL),
-            atol=tol,
-            t_eval=t_eval,
-            events=close_approach,
-        )
+        # a step that leaves the doubles raises here instead of warning once per step
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = solve_ivp(
+                _canonical_field(mu, k1, k2, MAX_RHS_EVALUATIONS),
+                (0.0, float(t_end)),
+                s0.as_array(),
+                method="DOP853",
+                rtol=max(tol, _MIN_RTOL),
+                atol=tol,
+                t_eval=t_eval,
+                events=close_approach,
+            )
+            if sol.status == -1:
+                raise StepSizeUnderflow(sol.message)
+            t = np.asarray(sol.t, dtype=float)
+            states = np.asarray(sol.y, dtype=float).T
+            # terminal event: append the event state so the trajectory ends where it stopped
+            if sol.status == 1 and sol.t_events[0].size:
+                te = float(sol.t_events[0][0])
+                if t.size == 0 or te > t[-1]:
+                    t = np.append(t, te)
+                    states = np.vstack([states, sol.y_events[0][0]])
+                reason = "collision-approach"
+            else:
+                reason = "completed"
+            energy = _energy(np.hypot, mu, k1, k2, *states.reshape(-1, 4).T)
     except _OverBudget as stop:
         raise WorkBudgetExceeded(
             f"integrate reached t = {float(stop.args[0])!r} of t_end = {t_end!r} in its budget of "
             f"{MAX_RHS_EVALUATIONS} right-hand-side evaluations; try a shorter --t-end"
         ) from None
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
-
-    t = np.asarray(sol.t, dtype=float)
-    states = np.asarray(sol.y, dtype=float).T
-    # terminal event: append the event state so the trajectory ends where it stopped
-    if sol.status == 1 and sol.t_events[0].size:
-        te = float(sol.t_events[0][0])
-        if t.size == 0 or te > t[-1]:
-            t = np.append(t, te)
-            states = np.vstack([states, sol.y_events[0][0]])
-        reason = "collision-approach"
-    else:
-        reason = "completed"
-
-    energy = _energy(np.hypot, mu, k1, k2, *states.reshape(-1, 4).T)
+    except FloatingPointError as exc:
+        raise NumericError(f"the solution leaves the doubles from {s0!r}: {exc}") from None
     return Trajectory(t=t, states=states, energy=energy, reason=reason)

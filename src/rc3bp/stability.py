@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BelowCriticalMass, NotOnTriangularLocus, ValidationError
 from .params import SystemParams, _limit_line, _require_folded_mu
-from .triangular import triangular_exists
+from .triangular import _triangle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,13 +115,14 @@ def gamma_of(params: SystemParams) -> float:
     Defined at triangular points (rho_i = beta_i^(1/3)) and on the
     degenerate limit lines, where it evaluates to 0 or pi.
     """
-    positive = params.beta1 > 0.0 and params.beta2 > 0.0 and params.admissible
-    if not (positive and (triangular_exists(params) or _limit_line(params) is not None)):
+    r1, r2 = params.delta1, params.delta2
+    positive = r1 > 0.0 and r2 > 0.0 and params.admissible
+    # a flat triangle lies on a limit line, so `closed` alone covers the triangular points
+    if not (positive and (_triangle(r1, r2, area=False)[0] or _limit_line(params) is not None)):
         raise NotOnTriangularLocus(
             f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) supports no "
             "triangular point and is not on a degenerate limit line"
         )
-    r1, r2 = params.delta1, params.delta2
     return math.acos(min(1.0, max(-1.0, (1.0 - r1 * r1 - r2 * r2) / (2.0 * r1 * r2))))
 
 

@@ -8,10 +8,11 @@ constraint holds. The points sit at distances rho_i = delta_i from the
 primaries:
 
     xL = -mu + (beta1**(2/3) - beta2**(2/3) + 1) / 2
-    yL = +/- sqrt(2(d1 + d2) - (d1 - d2)**2 - 1) / 2,   d_i = delta_i**2.
+    yL = +/- rho1 rho2 sin(gamma),
 
-Depending on the deltas the pair may lie left of body 1, between the
-bodies, right of body 2, or exactly above/below either body.
+sin(gamma)**2 being `_triangle`'s area form, which does not cancel on thin
+triangles. Depending on the deltas the pair may lie left of body 1, between
+the bodies, right of body 2, or exactly above/below either body.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .errors import NoTriangularSolution, NumericError
+from .errors import NoTriangularSolution
 from .params import SystemParams
 
 # Treat |xL - (-mu)| and |xL - (1-mu)| below this as exact: the
@@ -57,8 +58,7 @@ class TriangularPair(NamedTuple):
 
 def triangular_exists(params: SystemParams) -> bool:
     """True iff the closed-form triangular pair exists (strict inequalities, decided exactly)."""
-    closed, flat, _ = _triangle(params.delta1, params.delta2, area=False)
-    return params.beta1 > 0.0 and params.beta2 > 0.0 and params.admissible and closed and not flat
+    return _pair(params) is not None
 
 
 def _triangle(r1, r2, y=None, area=True):
@@ -88,24 +88,12 @@ def _triangle(r1, r2, y=None, area=True):
 
 def triangular_points(params: SystemParams) -> TriangularPair:
     """Compute the pair, or raise NoTriangularSolution."""
-    location = classify_location(params)
-    d1, d2 = params.delta1**2, params.delta2**2  # beta**(2/3)
-    xL = -params.mu + 0.5 * (d1 - d2 + 1.0)
-    radicand = 2.0 * (d1 + d2) - (d1 - d2) ** 2 - 1.0
-    if not radicand > 0.0:
-        # the expanded form cancels within a few ulp of the degeneracy lines
-        raise NumericError(
-            f"yL**2 = {radicand / 4.0!r} is not positive in doubles at "
-            f"beta1={params.beta1!r}, beta2={params.beta2!r}"
+    pair = _pair(params)
+    if pair is None:
+        raise NoTriangularSolution(
+            f"no triangular equilibria for beta1={params.beta1!r}, beta2={params.beta2!r}"
         )
-    yL = 0.5 * math.sqrt(radicand)
-    return TriangularPair(
-        xL=xL,
-        yL=yL,
-        rho1=params.delta1,
-        rho2=params.delta2,
-        location=location,
-    )
+    return pair
 
 
 def classify_location(params: SystemParams) -> TriangularLocation:
@@ -114,18 +102,26 @@ def classify_location(params: SystemParams) -> TriangularLocation:
     Equivalent to comparing xL against -mu and 1-mu; the above/below
     branches are equalities, detected within 1e-12.
     """
-    if not triangular_exists(params):
-        raise NoTriangularSolution(
-            f"no triangular equilibria for beta1={params.beta1!r}, beta2={params.beta2!r}"
-        )
-    # xL + mu = (t + 1)/2 and xL - (1 - mu) = (t - 1)/2 with t = d1 - d2
-    t = params.delta1**2 - params.delta2**2
-    if abs(t + 1.0) <= 2.0 * _LOCATION_ATOL:
-        return TriangularLocation.ABOVE_BELOW_BODY1
-    if abs(t - 1.0) <= 2.0 * _LOCATION_ATOL:
-        return TriangularLocation.ABOVE_BELOW_BODY2
-    if t < -1.0:
-        return TriangularLocation.LEFT_OF_BODY1
-    if t > 1.0:
-        return TriangularLocation.RIGHT_OF_BODY2
+    return triangular_points(params).location
+
+
+def _pair(params: SystemParams) -> TriangularPair | None:
+    """The pair, or None where it does not exist. The kernel decides the triangle
+    before it forms the area, which divides by (2 rho1 rho2)**2."""
+    r1, r2 = params.delta1, params.delta2
+    closed, flat, _ = _triangle(r1, r2, area=False)
+    if not (r1 > 0.0 and r2 > 0.0 and params.admissible and closed and not flat):
+        return None
+    t = r1**2 - r2**2                   # xL + mu = (t + 1)/2, xL - (1 - mu) = (t - 1)/2
+    yL = r1 * r2 * math.sqrt(_triangle(r1, r2)[2])
+    return TriangularPair(-params.mu + 0.5 * (t + 1.0), yL, r1, r2, _location(t))
+
+
+def _location(t: float) -> TriangularLocation:
+    """Body 2's side (t > 0) is body 1's under the mirror t -> -t, and fl(-t - 1) = -fl(t + 1)."""
+    side, edge = t > 0.0, abs(t) - 1.0
+    if abs(edge) <= 2.0 * _LOCATION_ATOL:
+        return (TriangularLocation.ABOVE_BELOW_BODY1, TriangularLocation.ABOVE_BELOW_BODY2)[side]
+    if edge > 0.0:
+        return (TriangularLocation.LEFT_OF_BODY1, TriangularLocation.RIGHT_OF_BODY2)[side]
     return TriangularLocation.BETWEEN

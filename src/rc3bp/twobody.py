@@ -53,8 +53,12 @@ class TwoBodyConfig(_Checked, _TwoBodyConfigFields):
 
     @property
     def mu_red(self) -> float:
-        """Reduced mass m1 m2 / (m1 + m2)."""
-        return self.m1 * self.m2 / (self.m1 + self.m2)
+        """Reduced mass m1 m2 / (m1 + m2), formed on the masses' mantissas and scaled
+        back by a power of two, so that it underflows or overflows only where the true
+        value leaves the doubles; bitwise the plain quotient where m1 m2 and it are normal."""
+        small, large = sorted((self.m1, self.m2))
+        (a, e), (b, f) = math.frexp(large), math.frexp(small)
+        return math.ldexp(a * b / (a + math.ldexp(small, -e)), f)
 
 
 class HyperbolicOrbit(NamedTuple):

@@ -8,12 +8,14 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from rc3bp import _brent, cli, collinear, regions
 from rc3bp.cli import main
@@ -101,6 +103,29 @@ def test_equilibria_triangular(capsys):
     assert d["l4"][1] == pytest.approx(math.sqrt(3) / 2)
     assert d["l5"][1] == -d["l4"][1]
     assert d["location"] == "between"
+
+
+@pytest.mark.parametrize(
+    "mu, beta1, beta2, excess",
+    [
+        ("0.2", "6.018324002166726e-05", "0.8869815620321766", Fraction(17, 2**56)),
+        ("0.3", "0.06400000000000002", "0.21599999999999997", Fraction(1, 2**54)),
+    ],
+)
+def test_equilibria_triangular_on_a_thin_triangle(mu, beta1, beta2, excess, capsys):
+    # rho1 + rho2 exceeds 1 by a few ulp: the pair exists, and yL is the height
+    # of the triangle (rho1, rho2, 1) to a few ulp
+    code, out, err = run(capsys, "equilibria", "--mu", mu, "--beta1", beta1, "--beta2", beta2,
+                         "--kind", "triangular")
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert Fraction(d["rho1"]) + Fraction(d["rho2"]) - 1 == excess
+    with mp.workdps(60):
+        s, t = mpf(d["rho1"]) + mpf(d["rho2"]), mpf(d["rho1"]) - mpf(d["rho2"])
+        height = float(mp.sqrt((s + 1) * (s - 1) * (1 - t) * (1 + t)) / 2)
+    assert d["l4"][1] > 0.0
+    assert abs(d["l4"][1] - height) <= 3.0 * math.ulp(height)
+    assert d["l5"][1] == -d["l4"][1]
 
 
 def test_equilibria_triangular_missing_exits_two(capsys):
@@ -219,22 +244,19 @@ def test_brent_non_convergence_exits_3(argv, capsys, tmp_path, monkeypatch):
          "V is not representable at (1e+100, 0.0)"),
         (["stability", "--mu", "0.2", "--beta1", "1", "--beta2", "1", "--point=-0.2,1e-70"],
          "V is not representable at (-0.2, 1e-70)"),
-        # C = G m1 m2 overflows to inf, and mu_red to inf/inf = nan
+        # C = G m1 m2 overflows to inf; mu_red = 5e307 is finite
         (["two-body", "--m1", "1e308", "--m2", "1e308", "--q1", "0", "--q2", "0"],
-         "not a finite double: C = inf, mu_red = nan"),
+         "not a finite double: C = inf\n"),
         # r0 = |C| / kstar overflows
         (["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
           "--kstar", "1e-320", "--l", "1"], "not a finite double"),
         # e = sqrt(1 + 4.4e-21) rounds to 1: no hyperbola in doubles
         (["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2",
           "--kstar", "1e-20", "--l", "1"], "e rounds to 1"),
-        # the pair exists (delta1 + delta2 = 1 + 2 ulp), but yL**2 rounds below 0
-        (["equilibria", "--mu", "0.2", "--beta1", "6.018324002166726e-05",
-          "--beta2", "0.8869815620321766", "--kind", "triangular"], "is not positive"),
         # l**2 underflows to 0, so e is exactly 1
         (["two-body", "--m1", "1", "--m2", "1", "--q1", "2", "--q2", "2", "--kstar", "3",
           "--l", "1e-170"], "e rounds to 1 at k_star = 3.0, l = 1e-170"),
-        # m1 m2 underflows, so mu_red C**2 = 0
+        # mu_red = 5e-201 and C = -1e-160, so mu_red C**2 underflows to 0
         (["two-body", "--m1", "1e-200", "--m2", "1e-200", "--q1", "1e-80", "--q2", "1e-80",
           "--kstar", "3", "--l", "1"], "mu_red C**2 underflows to 0 at TwoBodyConfig(m1=1e-200"),
         # px**2 overflows at a start inside the collision radius
@@ -247,6 +269,9 @@ def test_brent_non_convergence_exits_3(argv, capsys, tmp_path, monkeypatch):
         # px**2 overflows; the solver would warn on every step
         (["integrate", "--mu=0.2", "--beta1=1", "--beta2=1", "--state=0.5,0.5,1e300,0",
           "--t-end=1"], "H is not a finite double at PhaseState(x=0.5, y=0.5, px=1e+300"),
+        # H is finite at the start, but the first step's error norm overflows
+        (["integrate", "--mu=0.5", "--beta1=1", "--beta2=-1e300", "--state=0.9,-2.3,2.5,2.2",
+          "--t-end=1e-6"], "the solution leaves the doubles from PhaseState(x=0.9, y=-2.3"),
     ],
 )
 def test_results_outside_the_doubles_exit_3_with_nothing_on_stdout(argv, message, capsys):

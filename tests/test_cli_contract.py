@@ -2,9 +2,10 @@
 
 Every run ends in exit 0, 2 or 3 and never lets an exception out, with
 warnings raised as errors. Exit 0 prints finite JSON, or for `integrate`
-CSV whose last `t` is `--t-end`, and writes nothing to stderr; collinear
-root counts lie in the set their `predicted` field allows. Any other
-exit prints nothing on stdout and one stderr line that names its kind.
+finite CSV (whose last `t` is `--t-end` under `--every`), and writes
+nothing to stderr; collinear root counts lie in the set their `predicted`
+field allows. Any other exit prints nothing on stdout and one stderr line
+that names its kind.
 
 The arguments are drawn so that argparse accepts them: numbers are
 written in the `--flag=value` form, so that a negative one is not taken
@@ -200,3 +201,41 @@ def test_integrate_every_ends_at_t_end(params, radius, angle, momenta, grid):
     assert rows[0] == ["t", "x", "y", "px", "py", "H"]
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row), argv
     assert float(rows[-1][0]) == float(t_end), argv
+
+
+# a start a distance from a primary: on it, a subnormal off it, inside the
+# collision radius (1e-6), or ordinary
+OFFSETS = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -1e-320]),
+    st.floats(-1e-6, 1e-6),
+    st.floats(-3.0, 3.0),
+)
+# momenta of any size up to 1e300, either sign
+MOMENTA = st.one_of(NUMBERS, st.builds(lambda sign, e: sign * 10.0**e,
+                                       st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)))
+
+
+@st.composite
+def integrate_starts(draw) -> list[str]:
+    """integrate from a start next to either primary or anywhere, for at most 1e-2."""
+    mu = draw(_mostly(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    near = draw(st.sampled_from([-mu, 1.0 - mu, None]))
+    if near is None or not math.isfinite(near):
+        x, y = draw(NUMBERS), draw(NUMBERS)
+    else:
+        x, y = near + draw(OFFSETS), draw(OFFSETS)
+    state = (x, y, draw(MOMENTA), draw(MOMENTA))
+    return ["integrate", *_flags(mu=mu, beta1=draw(NUMBERS), beta2=draw(NUMBERS)),
+            "--state=" + ",".join(map(repr, state)),
+            _flag("t-end", draw(st.floats(1e-9, 1e-2)))]
+
+
+@settings(CONTRACT, max_examples=150)
+@given(integrate_starts())
+def test_integrate_keeps_the_exit_contract_from_any_start(argv):
+    # a solve that leaves the doubles is one numeric failure, never a warning per step
+    code, out = _check(argv)
+    if code == 0:
+        rows = [line.split(",") for line in out.splitlines()]
+        assert rows[0] == ["t", "x", "y", "px", "py", "H"] and len(rows) > 1, argv
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row), argv

@@ -2,9 +2,11 @@
 
 Relabelling the bodies takes (mu, beta1, beta2, x) to (1 - mu, beta2, beta1, -x).
 Where 1 - mu is exact, the mirrored call is the same problem, so every count,
-class, error type and exit code must be equal, with I1 and I3 swapped. Roots
-and l4 are left out: they are not yet correctly rounded, and a root and its
-mirror can differ by tens of ulp.
+class, error type and exit code must be equal, with I1 and I3 swapped, and so
+must the triangular pair's height yL, bit for bit, and its location, reflected
+(left of body 1 and right of body 2 swapped, above/below body 1 and body 2
+swapped). Roots and xL are left out: they are not yet correctly rounded, and a
+root and its mirror can differ by tens of ulp, xL and its mirror in the last bit.
 
 A mutant that swaps I1 and I3 everywhere would commute with the mirror; one
 that swaps them in `predicted_root_count` alone is caught because the
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 import rc3bp
 from rc3bp.cli import main
-from rc3bp.triangular import _triangle
+from rc3bp.triangular import TriangularLocation, _triangle, triangular_points
 
 # 1 - mu is exact for each of these
 MASS_RATIOS = st.sampled_from([0.5, 0.375, 0.25, 0.125, 2.0**-10])
@@ -50,6 +52,7 @@ def _answers(mu: float, beta1: float, beta2: float) -> dict:
     flags = [f"--mu={mu!r}", f"--beta1={beta1!r}", f"--beta2={beta2!r}"]
     answers = {
         "classification": _outcome(lambda: rc3bp.classify_triangular(params).classification),
+        "triangular pair": _outcome(lambda: triangular_points(params)[1::3]),    # (yL, location)
         "equilibria triangular": _exit_code("equilibria", *flags, "--kind=triangular"),
         "equilibria collinear": _exit_code("equilibria", *flags, "--kind=collinear"),
         "stability": _exit_code("stability", *flags),
@@ -65,13 +68,23 @@ def _answers(mu: float, beta1: float, beta2: float) -> dict:
 
 
 _SWAP = str.maketrans({"1": "3", "3": "1"})
+# the enum runs left of body 1, above/below body 1, between, above/below body 2, right of body 2
+_REFLECTED = dict(zip(TriangularLocation, reversed(TriangularLocation)))
+
+
+def _mirrored(key: str, value):
+    """The answer under `key` as the mirrored problem gives it."""
+    if key == "triangular pair" and isinstance(value, tuple):
+        return value[0], _REFLECTED[value[1]]
+    return value
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(MASS_RATIOS, BETAS, BETAS)
 def test_the_mirrored_problem_has_the_same_answers(mu, beta1, beta2):
     answers = _answers(mu, beta1, beta2)
-    mirrored = {key.translate(_SWAP): v for key, v in _answers(1.0 - mu, beta2, beta1).items()}
+    mirrored = {key.translate(_SWAP): _mirrored(key, v)
+                for key, v in _answers(1.0 - mu, beta2, beta1).items()}
     assert answers == mirrored
 
 

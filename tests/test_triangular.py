@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from rc3bp.dynamics import omega_gradient
-from rc3bp.errors import NoTriangularSolution, NumericError
+from rc3bp.errors import NoTriangularSolution
 from rc3bp.params import SystemParams, is_admissible
 from rc3bp.triangular import (
     TriangularLocation,
@@ -79,12 +80,11 @@ def test_existence_requires_triangle_inequalities():
     # flat (collinear) triangles are excluded: here delta1 = delta2 = 1/2 exactly
     assert not triangular_exists(SystemParams(0.3, 0.125, 0.125))
     # the cube roots of 0.4**3 and 0.6**3 sum to 1 + 2**-54: a proper triangle,
-    # too thin for the closed-form yL in doubles
+    # whose height of about 5.2e-9 the area form keeps to a few ulp
     p = SystemParams(0.3, 0.4**3, 0.6**3)
     assert Fraction(p.delta1) + Fraction(p.delta2) - 1 == Fraction(1, 2**54)
     assert triangular_exists(p)
-    with pytest.raises(NumericError):
-        triangular_points(p)
+    assert _height_error_ulps(p) <= 3.0
     # nonpositive strengths never give an off-axis point
     assert not triangular_exists(SystemParams(0.3, -1.0, 2.0))
     assert not triangular_exists(SystemParams(0.3, 2.0, 0.0))
@@ -147,25 +147,45 @@ def test_location_matches_coordinates_random():
         n += 1
 
 
+def _on_a_line(rng):
+    """(line, b_free, delta) for delta2 = delta1 + 1 (line 0), delta1 = delta2 + 1
+    (line 1) or delta1 + delta2 = 1 (line 2): the free beta is drawn in (0, 1),
+    where all three lines are admissible, and delta puts the other side on the line."""
+    line, b_free = rng.randrange(3), rng.uniform(1e-3, 1.0)
+    free = SystemParams(0.3, b_free, 1.0).delta1
+    return line, b_free, 1.0 - free if line == 2 else free + 1.0
+
+
+def _params_off(line, b_free, b):
+    """The params with the free beta and beta b on the side that `line` fixes."""
+    return SystemParams(0.3, b, b_free) if line == 1 else SystemParams(0.3, b_free, b)
+
+
 def _near_degeneracy_lines(rng, draws):
-    """Params whose deltas lie within 4 ulp of delta2 = delta1 + 1 (line 0),
-    delta1 = delta2 + 1 (line 1) or delta1 + delta2 = 1 (line 2): one beta is
-    drawn in (0, 1), where all three lines are admissible, and the other is
-    stepped by ulps across the cube of the line's delta."""
+    """Params whose deltas lie within 4 ulp of a degeneracy line (see `_on_a_line`):
+    the fixed side's beta is stepped by ulps across the cube of the line's delta."""
     out = []
     for _ in range(draws):
-        line, b_free = rng.randrange(3), rng.uniform(1e-3, 1.0)
-        free = SystemParams(0.3, b_free, 1.0).delta1
-        t = 1.0 - free if line == 2 else free + 1.0
+        line, b_free, t = _on_a_line(rng)
         b = t**3
         for _ in range(12):
             b = math.nextafter(b, 0.0)
         for _ in range(25):
-            p = SystemParams(0.3, b, b_free) if line == 1 else SystemParams(0.3, b_free, b)
+            p = _params_off(line, b_free, b)
             if abs((p.delta1 if line == 1 else p.delta2) - t) <= 4.0 * math.ulp(t):
                 out.append(p)
             b = math.nextafter(b, math.inf)
     return out
+
+
+def _height_error_ulps(p):
+    """|yL - h| in ulp of h, the height of the triangle with the rounded sides delta1,
+    delta2 and 1: h = sqrt((s + 1)(s - 1)(1 - t)(1 + t))/2, s = delta1 + delta2 and
+    t = delta1 - delta2, at 60 digits."""
+    with mp.workdps(60):
+        s, t = mpf(p.delta1) + mpf(p.delta2), mpf(p.delta1) - mpf(p.delta2)
+        h = mp.sqrt((s + 1) * (s - 1) * (1 - t) * (1 + t)) / 2
+        return float(abs(triangular_points(p).yL - h)) / math.ulp(float(h))
 
 
 def test_triangular_exists_matches_the_array_kernel_near_the_lines():
@@ -184,3 +204,30 @@ def test_triangular_exists_matches_the_array_kernel_near_the_lines():
     closed, flat, _ = _triangle(d1, d2)
     assert (closed & ~flat & is_admissible(b1, b2)).tolist() == exact
     assert 0.1 * len(ps) < sum(exact) < 0.9 * len(ps)   # both sides drawn
+
+
+def test_the_pair_and_its_mirror_wherever_the_pair_exists():
+    # a few ulp, 1e-16 to 1e-3 (relative) and far off the degeneracy lines, and at
+    # the above/below cases t = +-1: the area form neither raises nor cancels on a
+    # proper triangle, however thin, and relabelling the bodies (rho1 <-> rho2,
+    # t -> -t) gives the same yL bit for bit and the reflected location
+    rng = random.Random(33)
+    ps = _near_degeneracy_lines(rng, 200)
+    for _ in range(3000):
+        line, b_free, t = _on_a_line(rng)
+        t *= 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -3.0)
+        ps.append(_params_off(line, b_free, t**3))
+    for _ in range(500):
+        d2 = rng.uniform(1.0, 2.0)
+        betas = [(d2 * d2 - 1.0) ** 1.5, d2**3]
+        rng.shuffle(betas)
+        ps.append(SystemParams(0.3, *betas))
+    ps += [SystemParams(0.3, rng.uniform(0.0, 12.0), rng.uniform(0.0, 2.0)) for _ in range(2000)]
+    reflected = dict(zip(TriangularLocation, reversed(TriangularLocation)))
+    pairs = [p for p in ps if triangular_exists(p)]
+    assert len(pairs) > len(ps) // 3
+    assert max(_height_error_ulps(p) for p in pairs) <= 3.0
+    for p in pairs:
+        pair, twin = triangular_points(p), triangular_points(p.mirrored())
+        assert (twin.yL, twin.location) == (pair.yL, reflected[pair.location]), p
+    assert {triangular_points(p).location for p in pairs} == set(TriangularLocation)

@@ -1,6 +1,9 @@
 """Charged two-body classification and the repulsive scattering orbit."""
 
 import math
+import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +18,25 @@ from rc3bp.twobody import (
     hyperbolic_orbit,
     radial_momentum,
 )
+
+
+def test_reduced_mass_at_any_scale():
+    # three roundings on the masses' mantissas, scaled back by a power of two: within
+    # 3 ulp of the exact quotient, and the plain m1 m2 / (m1 + m2) bit for bit wherever
+    # m1 m2 and the result are normal
+    rng = random.Random(41)
+    for _ in range(20000):
+        m1, m2 = (10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2))
+        if not (m1 > 0.0 and m2 > 0.0):
+            continue
+        mu_red = TwoBodyConfig(m1, m2, 0.0, 0.0).mu_red
+        exact = Fraction(m1) * Fraction(m2) / (Fraction(m1) + Fraction(m2))
+        assert abs(Fraction(mu_red) - exact) <= 3 * Fraction(math.ulp(float(exact))), (m1, m2)
+        if sys.float_info.min <= min(m1 * m2, mu_red) and m1 * m2 < math.inf:
+            assert mu_red == m1 * m2 / (m1 + m2), (m1, m2)
+    # where m1 m2 underflows or m1 + m2 overflows
+    assert TwoBodyConfig(1e-200, 1e-200, 0.0, 0.0).mu_red == 5e-201
+    assert TwoBodyConfig(1e308, 1e308, 0.0, 0.0).mu_red == 5e307
 
 
 def test_classification_by_coupling_sign():
@@ -151,7 +173,7 @@ def test_orbit_that_is_no_hyperbola_in_doubles_is_a_numeric_error():
     # l**2 underflows to 0, so e is exactly 1 and c = mu_red |C| / l**2 is never formed
     with pytest.raises(NumericError, match="e rounds to 1 at k_star = 3.0, l = 1e-170"):
         hyperbolic_orbit(repulsive, 3.0, 1e-170)
-    # m1 m2 = 1e-400 underflows, so mu_red = 0 and mu_red C**2 = 0
+    # mu_red = 5e-201 and C = -1e-160, so mu_red C**2 = 5e-521 underflows to 0
     tiny = TwoBodyConfig(1e-200, 1e-200, 1e-80, 1e-80)
     with pytest.raises(NumericError, match=r"mu_red C\*\*2 underflows to 0 at TwoBodyConfig\("):
         hyperbolic_orbit(tiny, 3.0, 1.0)
