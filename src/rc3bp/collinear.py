@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import _brent
 from .errors import AtPrimary, AxisOutOfRange, InadmissibleParams, NotOnLimitLocus
 from .errors import RootNotBracketed, ValidationError
-from .params import SystemParams, _limit_line, _require_folded_mu, _require_mu, is_admissible
+from .params import SystemParams, _require_folded_mu, _require_mu, is_admissible
 
 if TYPE_CHECKING:
     import numpy as np
@@ -625,19 +625,18 @@ def find_collinear(params: SystemParams) -> list[CollinearRoot]:
 def limit_collinear(params: SystemParams) -> list[CollinearRoot]:
     """The closed-form axis equilibria on the triangle-degeneracy lines.
 
-    Requires beta1, beta2 > 0 (admissible) and one of delta2 - delta1 = 1,
-    delta1 + delta2 = 1, delta1 - delta2 = 1 within 1e-12; these are the
-    triangular points collapsed onto the axis.
+    Requires beta1, beta2 > 0 (admissible) and an excess of `triangular._excesses`
+    within 1e-12 of 0 (`triangular._on_limit_line`), the first on delta2 - delta1 = 1,
+    delta1 + delta2 = 1 or delta1 - delta2 = 1: the triangular points collapsed onto the axis.
     """
-    region = classify_region(params)
-    if region not in (BetaRegion.S11, BetaRegion.S12):
-        raise NotOnLimitLocus(
-            f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) must lie in R'_1"
-        )
-    line = _limit_line(params)
+    from . import triangular
+
+    excesses = triangular._excesses(params)
+    line = None if excesses is None else triangular._on_limit_line(excesses)
     if line is None:
         raise NotOnLimitLocus(
-            f"deltas ({params.delta1!r}, {params.delta2!r}) are not on any delta_i +/- delta_j = 1 line"
+            f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) is not on a "
+            "delta_i +/- delta_j = 1 line in R'_1"
         )
     d1 = params.delta1
     x = -params.mu - d1 if line == 0 else -params.mu + d1

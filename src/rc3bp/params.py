@@ -22,13 +22,30 @@ from .errors import NonpositiveMass, ValidationError, ZeroThirdCharge
 MAX_CSV_ROWS = 4096 * 4096
 
 
-def is_admissible(beta1: float, beta2: float) -> bool:
-    """Strict admissibility test (beta1 - 1)(beta2 - 1) < 1.
+def is_admissible(beta1, beta2):
+    """Strict admissibility test (beta1 - 1)(beta2 - 1) < 1, exact for floats or arrays.
 
     The boundary itself is excluded: there the primaries' mutual coupling
-    C12 vanishes and no circular relative orbit exists.
+    C12 vanishes and no circular relative orbit exists. The product takes three
+    roundings, within 2**-51 relative; within 2**-50 of 1 it is decided on
+    Fractions, for arrays in those cells only. NaN is inadmissible.
     """
-    return (beta1 - 1.0) * (beta2 - 1.0) < 1.0
+    p = (beta1 - 1.0) * (beta2 - 1.0)
+    if type(p) is float or p.ndim == 0:                  # numpy scalars too
+        if not abs(p - 1.0) <= 2.0**-50:                 # NaN too
+            return p < 1.0
+        from fractions import Fraction
+
+        return (Fraction(float(beta1)) - 1) * (Fraction(float(beta2)) - 1) < 1
+    import numpy as np
+
+    p -= 1.0                                             # in place: no second block temporary
+    admissible = p < 0.0
+    near = np.abs(p, out=p) <= 2.0**-50
+    if near.any():
+        b1, b2 = (np.broadcast_to(b, near.shape)[near].tolist() for b in (beta1, beta2))
+        admissible[near] = [is_admissible(*b) for b in zip(b1, b2)]
+    return admissible
 
 
 def _require_mu(mu: float) -> None:
@@ -54,6 +71,12 @@ def _require_folded_mu(mu: float) -> None:
     """ValidationError unless mu is a folded mass ratio in (0, 1/2]."""
     if not (0.0 < mu <= 0.5):
         raise ValidationError(f"mu must lie in (0, 1/2], got {mu!r}")
+
+
+def _cbrt(beta: float) -> float:
+    """The real cube root, within 2**-45 relative: 1/3 rounds 2**-54/3 low, which moves
+    the power by less than 2**-46 relative for |log |beta|| <= 745, and pow rounds once."""
+    return math.copysign(abs(beta) ** (1.0 / 3.0), beta)
 
 
 class ForceRegime(enum.Enum):
@@ -127,12 +150,12 @@ class SystemParams(_Checked, _SystemParamsFields):
     @property
     def delta1(self) -> float:
         """Real cube root of beta1 (sign-preserving)."""
-        return math.copysign(abs(self.beta1) ** (1.0 / 3.0), self.beta1)
+        return _cbrt(self.beta1)
 
     @property
     def delta2(self) -> float:
         """Real cube root of beta2 (sign-preserving)."""
-        return math.copysign(abs(self.beta2) ** (1.0 / 3.0), self.beta2)
+        return _cbrt(self.beta2)
 
     def mirrored(self) -> "SystemParams":
         """The body-relabeled twin (1 - mu, beta2, beta1)."""
@@ -140,20 +163,6 @@ class SystemParams(_Checked, _SystemParamsFields):
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "admissible": self.admissible}
-
-
-def _limit_line(params: SystemParams) -> int | None:
-    """Which degeneracy line (delta1, delta2) lies on within 1e-12, if any.
-
-    0 for delta2 - delta1 = 1, 1 for delta1 + delta2 = 1, 2 for
-    delta1 - delta2 = 1 (the first that holds): the triangular points
-    collapse onto the axis there, in I1, I2 and I3 respectively.
-    """
-    d1, d2 = params.delta1, params.delta2
-    for line, value in enumerate((d2 - d1, d1 + d2, d1 - d2)):
-        if abs(value - 1.0) <= 1e-12:
-            return line
-    return None
 
 
 class _PhysicalSystemFields(NamedTuple):

@@ -445,9 +445,9 @@ class StableEllipse(_Checked, _StableEllipseFields):
 
 
 class StableRegime(enum.Enum):
-    FULL_BAND = "full-band"            # mu < mu*: stable for every gamma in (0, pi)
-    CRITICAL = "critical"              # mu = mu*: single excluded angle pi/2
-    TWO_INTERVALS = "two-intervals"    # mu > mu*: stable only near the axis angles
+    FULL_BAND = "full-band"            # F(mu, pi/2) > 0: stable for every gamma in (0, pi)
+    CRITICAL = "critical"              # F(mu, pi/2) = 0: single excluded angle pi/2
+    TWO_INTERVALS = "two-intervals"    # F(mu, pi/2) < 0: stable only near the axis angles
 
 
 class StableRegionReport(NamedTuple):
@@ -474,21 +474,13 @@ class StableRegionReport(NamedTuple):
 def stable_region_report(mu: float) -> StableRegionReport:
     """Stable gamma set and its boundary arcs/ellipses for a mass ratio."""
     _require_folded_mu(mu)
-    mu_c = critical_mu()
-    if mu < mu_c:
-        regime = StableRegime.FULL_BAND
-        intervals = ((0.0, math.pi),)
-        boundary: tuple[float, ...] = ()
-    elif mu == mu_c:
-        regime = StableRegime.CRITICAL
-        half = math.pi / 2.0
-        intervals = ((0.0, half), (half, math.pi))
-        boundary = (half,)
-    else:
-        regime = StableRegime.TWO_INTERVALS
+    # the class of gamma = pi/2 decides: stable (or F = 1), F = 0, or unstable
+    regime = list(StableRegime)[2 - min(_stability_index(_discriminant(mu, 1.0)), 2)]
+    intervals, boundary = ((0.0, math.pi),), ()
+    if regime is not StableRegime.FULL_BAND:
         gm = gamma_mu(mu)
         intervals = ((0.0, gm), (math.pi - gm, math.pi))
-        boundary = (gm, math.pi - gm)
+        boundary = (gm,) if regime is StableRegime.CRITICAL else (gm, math.pi - gm)
     arcs: list[StableArc] = []
     ellipses: list[StableEllipse] = []
     for g in boundary:

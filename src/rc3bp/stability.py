@@ -33,8 +33,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BelowCriticalMass, NotOnTriangularLocus, ValidationError
-from .params import SystemParams, _limit_line, _require_folded_mu
-from .triangular import _triangle
+from .params import SystemParams, _require_folded_mu
+from .triangular import _excesses, _on_limit_line
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,17 +112,17 @@ def _biquadratic_roots(p: float, d: float) -> tuple[complex, complex, complex, c
 def gamma_of(params: SystemParams) -> float:
     """The angle gamma in [0, pi] with cos gamma = (1 - rho1^2 - rho2^2)/(2 rho1 rho2).
 
-    Defined at triangular points (rho_i = beta_i^(1/3)) and on the
-    degenerate limit lines, where it evaluates to 0 or pi.
+    Defined at triangular points (rho_i = beta_i^(1/3)), where every excess of
+    `triangular._excesses` is positive, and on the degenerate limit lines, where it
+    evaluates to 0 or pi.
     """
-    r1, r2 = params.delta1, params.delta2
-    positive = r1 > 0.0 and r2 > 0.0 and params.admissible
-    # a flat triangle lies on a limit line, so `closed` alone covers the triangular points
-    if not (positive and (_triangle(r1, r2, area=False)[0] or _limit_line(params) is not None)):
+    excesses = _excesses(params)
+    if excesses is None or not (min(excesses) > 0.0 or _on_limit_line(excesses) is not None):
         raise NotOnTriangularLocus(
             f"(beta1, beta2) = ({params.beta1!r}, {params.beta2!r}) supports no "
             "triangular point and is not on a degenerate limit line"
         )
+    r1, r2 = params.delta1, params.delta2
     return math.acos(min(1.0, max(-1.0, (1.0 - r1 * r1 - r2 * r2) / (2.0 * r1 * r2))))
 
 
@@ -145,17 +145,18 @@ def critical_mu() -> float:
 
 
 def gamma_mu(mu: float) -> float:
-    """The boundary angle arcsin(1/(6 sqrt(mu(1-mu)))) for mu at or above critical.
+    """The boundary angle arcsin(1/(6 sqrt(mu(1-mu)))) where gamma = pi/2 is unstable.
 
-    F(mu, .) vanishes exactly at gamma_mu and pi - gamma_mu; at mu* both are pi/2.
+    F(mu, .) vanishes exactly at gamma_mu and pi - gamma_mu; both are pi/2 where the class
+    of pi/2 is F = 0, within _BOUNDARY_ATOL of it: about 8,500 ulp either side of mu*.
     """
     _require_folded_mu(mu)
-    if mu < critical_mu():
+    index = _stability_index(_discriminant(mu, 1.0))
+    if index >= 2:
         raise BelowCriticalMass(
             f"mu = {mu!r} is below the critical ratio {critical_mu()!r}; F never vanishes"
         )
-    # the argument rounds above 1 from mu* to 12 ulp past it
-    return math.asin(min(1.0, 1.0 / (6.0 * math.sqrt(mu * (1.0 - mu)))))
+    return math.pi / 2.0 if index == 1 else math.asin(1.0 / (6.0 * math.sqrt(mu * (1.0 - mu))))
 
 
 def classify_triangular(params: SystemParams) -> StabilityReport:

@@ -1,18 +1,18 @@
 """Triangular equilibrium points.
 
 A pair of off-axis equilibria exists exactly when beta1, beta2 > 0, the
-cube roots delta_i = beta_i**(1/3) satisfy the strict triangle
-inequalities with the unit primary separation (decided exactly by
-`_triangle`, which figures 6, 7 and 16-21 share), and the admissibility
-constraint holds. The points sit at distances rho_i = delta_i from the
-primaries:
+admissibility constraint holds, and the cube roots delta_i = beta_i**(1/3)
+satisfy the strict triangle inequalities with the unit primary separation:
+three excesses of one mirrored kernel, `_excess`, decided exactly on the
+betas. The points sit at distances rho_i = delta_i from the primaries:
 
     xL = -mu + (beta1**(2/3) - beta2**(2/3) + 1) / 2
     yL = +/- rho1 rho2 sin(gamma),
 
 sin(gamma)**2 being `_triangle`'s area form, which does not cancel on thin
-triangles. Depending on the deltas the pair may lie left of body 1, between
-the bodies, right of body 2, or exactly above/below either body.
+triangles (Heron's form on the excesses where the rounded deltas are flat).
+Depending on the deltas the pair may lie left of body 1, between the
+bodies, right of body 2, or exactly above/below either body.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .errors import NoTriangularSolution
-from .params import SystemParams
+from .params import SystemParams, _cbrt
 
 # Treat |xL - (-mu)| and |xL - (1-mu)| below this as exact: the
 # above/below cases arise from cube/square root arithmetic (e.g.
@@ -59,6 +59,37 @@ class TriangularPair(NamedTuple):
 def triangular_exists(params: SystemParams) -> bool:
     """True iff the closed-form triangular pair exists (strict inequalities, decided exactly)."""
     return _pair(params) is not None
+
+
+def _excess(b1: float, b2: float) -> float:
+    """delta1 + delta2 - 1 for the real cube roots d1, d2 of nonzero b1, b2, not both
+    negative, with an exact sign and bitwise symmetric in b1, b2. Where the rounded roots
+    (`params._cbrt`) could reach the sign, it is the resultant (b1 + b2 - 1)**3 + 27 b1 b2
+    on Fractions over the positive cofactor q (x**2 - 3px + 9p**2), x = b1 + b2 - 1,
+    p = d1 d2, q = d1**2 + d2**2 + 1 - p + d1 + d2: a few ulp off (betas below 9 there)."""
+    d1, d2 = _cbrt(b1), _cbrt(b2)
+    if abs(excess := d1 + d2 - 1.0) > 2.0**-40 * (abs(d1) + abs(d2) + 1.0):
+        return excess
+    from fractions import Fraction
+
+    x, p, f1, f2 = b1 + b2 - 1.0, d1 * d2, Fraction(b1), Fraction(b2)
+    q = 0.5 * ((d1 - d2) ** 2 + ((d1 + 1.0) ** 2 + (d2 + 1.0) ** 2))     # sums of squares
+    resultant = (f1 + f2 - 1) ** 3 + 27 * (f1 * f2)
+    return float(resultant / Fraction(q * ((x - 1.5 * p) ** 2 + 6.75 * p * p)))
+
+
+def _excesses(params: SystemParams) -> tuple[float, float, float] | None:
+    """1 + delta1 - delta2, delta1 + delta2 - 1 and 1 + delta2 - delta1, zero on the limit
+    lines in I1, I2 and I3, for positive admissible betas, else None. The mirror reverses them."""
+    b1, b2 = params.beta1, params.beta2
+    if not (b1 > 0.0 and b2 > 0.0 and params.admissible):
+        return None
+    return -_excess(-b1, b2), _excess(b1, b2), -_excess(b1, -b2)
+
+
+def _on_limit_line(excesses: tuple[float, float, float]) -> int | None:
+    """The Interval index of the limit line the pair collapses on: the first excess within 1e-12."""
+    return next((i for i, e in enumerate(excesses) if abs(e) <= 1e-12), None)
 
 
 def _triangle(r1, r2, y=None, area=True):
@@ -106,14 +137,18 @@ def classify_location(params: SystemParams) -> TriangularLocation:
 
 
 def _pair(params: SystemParams) -> TriangularPair | None:
-    """The pair, or None where it does not exist. The kernel decides the triangle
-    before it forms the area, which divides by (2 rho1 rho2)**2."""
-    r1, r2 = params.delta1, params.delta2
-    closed, flat, _ = _triangle(r1, r2, area=False)
-    if not (r1 > 0.0 and r2 > 0.0 and params.admissible and closed and not flat):
+    """The pair, or None where an excess is not positive. yL is the kernel's where the
+    rounded deltas close a proper triangle, else Heron's sqrt((rho1 + rho2 + 1) e1 e2 e3)/2."""
+    e = _excesses(params)
+    if e is None or min(e) <= 0.0:
         return None
+    r1, r2 = params.delta1, params.delta2
+    closed, flat, sin2 = _triangle(r1, r2)
+    if closed and not flat:
+        yL = r1 * r2 * math.sqrt(sin2)
+    else:
+        yL = 0.5 * math.sqrt((r1 + r2 + 1.0) * e[1] * (e[0] * e[2]))
     t = r1**2 - r2**2                   # xL + mu = (t + 1)/2, xL - (1 - mu) = (t - 1)/2
-    yL = r1 * r2 * math.sqrt(_triangle(r1, r2)[2])
     return TriangularPair(-params.mu + 0.5 * (t + 1.0), yL, r1, r2, _location(t))
 
 

@@ -5,6 +5,7 @@ or vectorized form the library evaluates.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -73,3 +74,28 @@ def ellipse_point(ellipse, t: float) -> tuple[float, float]:
     a, b = ellipse.semi_axes
     ca, sb = a * math.cos(t) / math.sqrt(2.0), b * math.sin(t) / math.sqrt(2.0)
     return (ca + sb, -ca + sb)
+
+
+def admissible_exactly(b1: float, b2: float) -> bool:
+    """(beta1 - 1)(beta2 - 1) < 1 on the exact rationals of the doubles."""
+    return (Fraction(b1) - 1) * (Fraction(b2) - 1) < 1
+
+
+def delta_line_signs(b1: float, b2: float) -> tuple[int, int, int]:
+    """The exact signs of delta2 - delta1 - 1, delta1 + delta2 - 1 and delta1 - delta2 - 1
+    for the true cube roots delta_i of b1, b2 > 0: each is the sign of a resultant of
+    z**3 - beta1 and a cubic in beta2, (b2 - b1 - 1)**3 - 27 b1 b2, (b1 + b2 - 1)**3 + 27 b1 b2
+    and (b1 - b2 - 1)**3 - 27 b1 b2, on Fractions (the other conjugate factors pair into
+    positive squared moduli)."""
+    f1, f2 = Fraction(b1), Fraction(b2)
+    prod = 27 * f1 * f2
+    values = ((f2 - f1 - 1) ** 3 - prod, (f1 + f2 - 1) ** 3 + prod, (f1 - f2 - 1) ** 3 - prod)
+    return tuple((v > 0) - (v < 0) for v in values)
+
+
+def pair_exists_exactly(b1: float, b2: float) -> bool:
+    """The triangular pair's existence on the betas: both positive, admissible, and the
+    strict triangle inequalities on the true cube roots."""
+    return b1 > 0.0 and b2 > 0.0 and admissible_exactly(b1, b2) and (
+        delta_line_signs(b1, b2) == (-1, 1, -1)
+    )

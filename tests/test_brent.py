@@ -181,7 +181,7 @@ _CLI_CASES = [
 ]
 
 # cli.main in a new interpreter; the last stderr line is a JSON list: whether
-# numpy, hashlib, dataclasses, inspect and json got loaded, and the rc3bp
+# numpy, hashlib, dataclasses, inspect, json and fractions got loaded, and the rc3bp
 # submodules that did, all read before this script imports json itself
 _FRESH_MAIN = "\n".join(
     [
@@ -189,7 +189,7 @@ _FRESH_MAIN = "\n".join(
         "from rc3bp.cli import main",
         "code = main(sys.argv[1:])",
         "own = sorted(m[6:] for m in sys.modules if m.startswith('rc3bp.'))",
-        "names = ('numpy', 'hashlib', 'dataclasses', 'inspect', 'json')",
+        "names = ('numpy', 'hashlib', 'dataclasses', 'inspect', 'json', 'fractions')",
         "loaded = [m in sys.modules for m in names]",
         "loaded.append(own)",
         "import json",
@@ -211,9 +211,8 @@ def test_cli_subcommand_in_a_fresh_process(key, needs_numpy, modules, tmp_path):
     proc = _run_fresh(_FRESH_MAIN, *key.split(" "), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == reference[key]
-    numpy_loaded, hashlib_loaded, dataclasses_loaded, inspect_loaded, json_loaded, own = (
-        json.loads(proc.stderr)
-    )
+    numpy_loaded, hashlib_loaded, dataclasses_loaded, inspect_loaded, json_loaded, \
+        fractions_loaded, own = json.loads(proc.stderr)
     assert numpy_loaded == needs_numpy
     # scipy loads hashlib for integrate; the figure writer imports it itself
     assert needs_numpy or not hashlib_loaded
@@ -222,6 +221,8 @@ def test_cli_subcommand_in_a_fresh_process(key, needs_numpy, modules, tmp_path):
     assert needs_numpy or not inspect_loaded
     # the JSON writer is the package's own; scipy, for integrate, loads json itself
     assert key.startswith("integrate") or not json_loaded
+    # is_admissible and triangular._excess import fractions only for their exact fallbacks
+    assert needs_numpy or not fractions_loaded
     assert set(own) == {"cli", "errors", "params"} | modules
 
 

@@ -128,6 +128,29 @@ def test_equilibria_triangular_on_a_thin_triangle(mu, beta1, beta2, excess, caps
     assert d["l5"][1] == -d["l4"][1]
 
 
+def test_equilibria_triangular_where_the_rounded_deltas_are_flat(capsys):
+    # for the rounded cube roots rho1 - rho2 - 1 is exactly 0, for the true ones it
+    # is -5.86e-18: the pair exists, and yL is the true triangle's height to 3 ulp
+    code, out, err = run(capsys, "equilibria", "--mu", "0.2", "--beta1", "2.6103386557130905",
+                         "--beta2", "0.0535353466561373", "--kind", "triangular")
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert Fraction(d["rho1"]) - Fraction(d["rho2"]) - 1 == 0
+    assert abs(d["l4"][1] - 2.4658235068602046e-9) <= 3.0 * math.ulp(2.4658235068602046e-9)
+    assert d["location"] == "right-of-body-2"
+
+
+def test_admissible_within_an_ulp_of_the_hyperbola(capsys):
+    # (beta1 - 1)(beta2 - 1) rounds to 1 in floats, and is below 1 exactly
+    args = ["--mu", "0.2", "--beta1", "1.2290169488970193", "--beta2", "5.366489051645099"]
+    assert (Fraction(args[3]) - 1) * (Fraction(args[5]) - 1) < 1
+    code, out, _ = run(capsys, "validate", *args)
+    assert (code, json.loads(out)["admissible"]) == (0, True)
+    for kind in ("triangular", "collinear"):
+        code, out, err = run(capsys, "equilibria", *args, "--kind", kind)
+        assert (code, err) == (0, ""), kind
+
+
 def test_equilibria_triangular_missing_exits_two(capsys):
     code, _, _ = run(
         capsys, "equilibria", "--mu", "0.25", "--beta1", "-1", "--beta2", "1",

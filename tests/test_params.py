@@ -6,20 +6,23 @@ import pickle
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
-from rc3bp.errors import DegenerateGamma, NonpositiveMass, ValidationError, ZeroThirdCharge
+from rc3bp.collinear import Interval, limit_collinear
+from rc3bp.errors import DegenerateGamma, NonpositiveMass, NotOnLimitLocus, ValidationError
+from rc3bp.errors import ZeroThirdCharge
 from rc3bp.params import (
     ForceRegime,
     PhysicalSystem,
     SystemParams,
     _Checked,
-    _limit_line,
     force_regime,
     is_admissible,
     reduce,
 )
 from rc3bp.regions import RegionRaster, StableArc, StableEllipse
 from rc3bp.twobody import HyperbolicOrbit, TwoBodyConfig
+from formula_oracles import admissible_exactly
 
 
 def test_admissibility_boundary_and_interior():
@@ -192,7 +195,10 @@ def test_delta_is_signed_cube_root():
 
 
 def test_limit_line_matches_the_three_written_out_tests():
-    # points on, next to (within and beyond 1e-12) and off each line
+    # points on, next to (within and beyond 1e-12) and off each line: the line that
+    # limit_collinear collapses the pair onto is the first of the written-out tests on
+    # the true cube roots of the betas (40 digits), and off R'_1 (a beta not positive,
+    # or inadmissible) there is none
     rng = np.random.default_rng(7)
     seen = set()
     for _ in range(3000):
@@ -200,16 +206,19 @@ def test_limit_line_matches_the_three_written_out_tests():
         d2 = rng.choice([d1 + 1.0, 1.0 - d1, d1 - 1.0, rng.uniform(0.05, 2.0)])
         d2 += rng.choice([0.0, 5e-13, -5e-13, 2e-12, -2e-12])
         p = SystemParams(0.3, d1**3, d2**3)
-        e1, e2 = p.delta1, p.delta2
-        if abs(e2 - e1 - 1.0) <= 1e-12:
-            want = 0
-        elif abs(e1 + e2 - 1.0) <= 1e-12:
-            want = 1
-        elif abs(e1 - e2 - 1.0) <= 1e-12:
-            want = 2
-        else:
-            want = None
-        assert _limit_line(p) == want, p
+        want = None
+        if p.beta1 > 0.0 and p.beta2 > 0.0 and admissible_exactly(p.beta1, p.beta2):
+            with mp.workdps(40):
+                e1, e2 = mp.cbrt(mpf(p.beta1)), mp.cbrt(mpf(p.beta2))
+                for line, value in enumerate((e2 - e1, e1 + e2, e1 - e2)):
+                    if abs(value - 1) <= mpf(1e-12):
+                        want = line
+                        break
+        try:
+            got = list(Interval).index(limit_collinear(p)[0].interval)
+        except NotOnLimitLocus:
+            got = None
+        assert got == want, p
         seen.add(want)
     assert seen == {0, 1, 2, None}
 

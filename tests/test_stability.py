@@ -140,17 +140,20 @@ def test_gamma_mu_marks_the_zero_of_f():
 
 
 def test_gamma_mu_at_and_just_above_the_critical_ratio():
-    # 1/(6 sqrt(mu(1 - mu))) rounds above 1 from mu* to 12 ulp past it
+    # the class of gamma = pi/2 decides the domain: gamma_mu is pi/2 wherever
+    # F(mu, pi/2) = 0 within _BOUNDARY_ATOL, about 8,500 ulp either side of mu*, so
+    # also 1 ulp below it; 10,000 ulp below F never vanishes, and 10,000 above
+    # gamma_mu lies below pi/2
     mu = critical_mu()
-    below = math.nextafter(mu, 0.0)
-    with pytest.raises(BelowCriticalMass, match="is below the critical ratio"):
-        gamma_mu(below)
-    angles = []
+    walk, below, above = [mu], mu, mu
     for _ in range(16):
-        angles.append(gamma_mu(mu))
-        mu = math.nextafter(mu, 1.0)
-    assert angles[:13] == [math.pi / 2.0] * 13
-    assert all(a <= math.pi / 2.0 for a in angles) and gamma_mu(mu + 1e-9) < math.pi / 2.0
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+        walk += [below, above]
+    assert [gamma_mu(m) for m in walk] == [math.pi / 2.0] * len(walk)
+    with pytest.raises(BelowCriticalMass, match="is below the critical ratio"):
+        gamma_mu(mu - 10_000 * math.ulp(mu))
+    assert gamma_mu(mu + 10_000 * math.ulp(mu)) < math.pi / 2.0
+    assert gamma_mu(mu + 1e-9) < math.pi / 2.0
 
 
 def test_classification_stable_branch():
