@@ -179,9 +179,12 @@ def classify_triangular(params: SystemParams) -> StabilityReport:
     return StabilityReport(eig, f_val, gamma, cls)
 
 
-def _stability_index(f):
+def _stability_index(f, stable=2):
     """The position in StabilityClass of the class that F gives: 2 (stable),
     less 2 for F < 0, less 1 at F = 0, plus 1 at F = 1, the equalities within
-    _BOUNDARY_ATOL. Floats or numpy arrays; the stability rasters label by it."""
-    zero, one = abs(f) <= _BOUNDARY_ATOL, abs(f - 1.0) <= _BOUNDARY_ATOL
-    return 2 - 2 * (f < -_BOUNDARY_ATOL) - zero + one
+    _BOUNDARY_ATOL. Floats or numpy arrays; the stability rasters label by it,
+    passing `stable` = np.int8(3), the stable class's STABILITY_LEGEND label, so that
+    an array's arithmetic stays in int8."""
+    one = abs(f - 1.0) <= _BOUNDARY_ATOL
+    # F <= the band's top: less 1 (F = 0); below its bottom too: less 2 (F < 0)
+    return stable - (f <= _BOUNDARY_ATOL) - (f < -_BOUNDARY_ATOL) + one

@@ -432,9 +432,21 @@ def test_figure_csvs_match_the_recorded_digests():
     got = {}
     for figure in regions.FIGURES:
         raster = regions.figure_dataset(figure, resolution=512).raster
-        text = "".join(cli._raster_csv_lines(raster))
-        got[f"figure-{figure:02d}.csv"] = hashlib.sha256(text.encode()).hexdigest()
+        data = b"".join(cli._raster_csv_lines(raster))
+        got[f"figure-{figure:02d}.csv"] = hashlib.sha256(data).hexdigest()
     assert got == expected
+
+
+def test_reproduce_all_at_512_writes_the_pinned_bytes(tmp_path):
+    # the default resolution through the writer itself: each CSV spans many write buffers
+    expected = json.loads((REFERENCE_DIR / "figures_csv_sha256.json").read_text())
+    manifest = cli.reproduce_all(str(tmp_path), resolution=512)
+    digests = {e["file"]: e["sha256"] for e in manifest["files"]}
+    assert {f: d for f, d in digests.items() if f.endswith(".csv")} == expected
+    on_disk = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+    assert len(on_disk) == 26 and on_disk == digests
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == "1a543c9b37b1a3ca6ca08faa89bb2e45d739820d01fc82dea406a12a22765d82"
 
 
 def test_reproduce_all_manifest_digest_at_resolution_128(tmp_path):
@@ -486,13 +498,13 @@ def _reference_csv(raster: regions.RegionRaster) -> str:
 @pytest.mark.parametrize("figure", regions.FIGURES)
 def test_raster_csv_matches_per_cell_reference(figure):
     raster = regions.figure_dataset(figure, resolution=16).raster
-    assert "".join(cli._raster_csv_lines(raster)) == _reference_csv(raster)
+    assert b"".join(cli._raster_csv_lines(raster)).decode() == _reference_csv(raster)
 
 
 def test_raster_csv_rectangular_keeps_axes_apart():
     raster = regions.admissible_region_raster(resolution=(7, 5))
     assert raster.labels.shape == (5, 7)
-    assert "".join(cli._raster_csv_lines(raster)) == _reference_csv(raster)
+    assert b"".join(cli._raster_csv_lines(raster)).decode() == _reference_csv(raster)
 
 
 def _runs_apart(shape, n_labels=3, seed=7):
@@ -520,7 +532,7 @@ def test_raster_csv_matches_per_cell_reference_on_label_runs(labels):
     raster = regions.RegionRaster(
         (-1.5, 2.0), (0.25, 3.0), (nx, ny), labels, ("A", "Bee", "Cccc"), "test"
     )
-    assert "".join(cli._raster_csv_lines(raster)) == _reference_csv(raster)
+    assert b"".join(cli._raster_csv_lines(raster)).decode() == _reference_csv(raster)
 
 
 def test_json_that_is_not_finite_names_its_keys_in_written_order():
@@ -554,6 +566,34 @@ def test_json_text_matches_json_dumps_on_every_figure():
             "curves": dataset.curves,
         }
         assert cli._json_text(payload) == _json_dumps(payload), figure
+
+
+# finite doubles, with the signed zero, subnormals, huge values and 17-digit values drawn often
+_POLYLINE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.225073858507201e-308, 1e300, -1e300, 0.30000000000000004, 1 / 3, -2 / 3]
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 3), st.data())
+def test_json_polylines_through_the_row_template_match_json_dumps(n, k, data):
+    values = data.draw(st.lists(_POLYLINE_FLOATS, min_size=n * k, max_size=n * k))
+    points = np.array(values, dtype=float).reshape(n, k)
+    payload = {"curves": {"polylines": {"p": points, "reversed": points[::-1]}}, "n": n}
+    assert cli._json_text(payload) == _json_dumps(payload)
+
+
+def test_json_arrays_that_are_not_float_polylines_take_the_general_path():
+    # the row template's %r would print True, and float32 is no double: both stay general
+    payload = {
+        "ints": np.arange(6).reshape(3, 2),
+        "bools": np.array([[True, False], [False, True]]),
+        "singles": np.array([[0.1, 2.5]], dtype=np.float32),
+        "row": np.array([0.1, -0.0, 1e300]),
+        "columns": np.zeros((2, 0)),
+        "empty": np.zeros((0, 2)),
+    }
+    assert cli._json_text(payload) == _json_dumps(payload)
 
 
 # strings that need every kind of escape, and doubles and ints at their edges

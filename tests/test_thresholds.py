@@ -310,6 +310,110 @@ def _mu_star_raster(points, monkeypatch) -> list:
     return cells
 
 
+# ---------------------------------------------------------------------------
+# the F = 0 and F = 1 bands of the stability classes: F(mu, gamma) = 1 - 36 mu (1 - mu)
+# sin(gamma)**2 within _BOUNDARY_ATOL of 0 or of 1, walked in gamma across each band
+# edge (F = -tol, F = tol, F = 1 - tol), left open within the same 1e-14 of an edge
+
+_BAND_EDGES = (-_TOL, _TOL, 1 - _TOL)
+
+
+def _fraction(x) -> Fraction:
+    man, exp = mpf(x).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _f_exact(mu: float, sin2: Fraction) -> Fraction:
+    m = Fraction(mu) if mu <= 0.5 else 1 - Fraction(mu)
+    return 1 - 36 * m * (1 - m) * sin2
+
+
+def _sin2_of_sides(b1: float, b2: float) -> Fraction:
+    """sin(gamma)**2 of the triangle with sides cbrt(b1), cbrt(b2) and 1, to 60 digits."""
+    with mp.workdps(60):
+        d1, d2 = mp.cbrt(mpf(b1)), mp.cbrt(mpf(b2))
+        return _fraction(1 - ((1 - d1**2 - d2**2) / (2 * d1 * d2)) ** 2)
+
+
+def _band_class(f: Fraction):
+    if any(abs(f - edge) <= _MARGIN for edge in _BAND_EDGES):
+        return None
+    if f < -_TOL:
+        return StabilityClass.LYAPUNOV_UNSTABLE.value
+    if f <= _TOL:
+        return StabilityClass.LINEARLY_UNSTABLE_F_ZERO.value
+    if f < 1 - _TOL:
+        return StabilityClass.LINEARLY_STABLE.value
+    return StabilityClass.LINEARLY_UNSTABLE_F_ONE.value
+
+
+def _band_seeds() -> list:
+    """(mu, beta1, beta2) whose triangle puts F on a band edge, 12 per edge, each with
+    its sin(gamma)**2 and the ulps of beta2 that move F by about 4e-14 (F = 1: a thin
+    triangle, gamma near 0 or pi)."""
+    rng, seeds = random.Random(38), []
+    while len(seeds) < 12 * len(_BAND_EDGES):
+        edge = _BAND_EDGES[len(seeds) // 12]
+        mu = rng.uniform(1e-3, 0.5)
+        with mp.workdps(60):
+            sin2 = (1 - mpf(edge.numerator) / edge.denominator) / (36 * mpf(mu) * (1 - mpf(mu)))
+            if sin2 > 1:                                      # F = 0 needs mu above mu*
+                continue
+            cos = rng.choice([-1, 1]) * mp.sqrt(1 - sin2)
+            d1 = mpf(rng.uniform(0.3, 0.95))
+            d2 = -d1 * cos + mp.sqrt(1 - d1**2 * sin2)
+            b1, b2 = float(d1**3), float(d2**3)
+        if not admissible_exactly(b1, b2):
+            continue
+        step = abs(_sin2_of_sides(b1, math.nextafter(b2, 3.0)) - _sin2_of_sides(b1, b2))
+        slope = 36 * Fraction(mu) * (1 - Fraction(mu)) * step        # |dF| per ulp of beta2
+        seeds.append((mu, b1, b2, float(sin2), math.ceil(4e-14 / float(slope))))
+    return seeds
+
+
+def _band_points() -> list:
+    points = []
+    for mu, b1, b2, _, k in _band_seeds():
+        steps = sorted(set(range(-k, k + 1, max(1, k // 12))) | set(range(-2, 3)))
+        points += [(mu, b1, b2 + i * math.ulp(b2)) for i in steps]
+    return points + [(1.0 - m, b, a) for m, a, b in points]
+
+
+def _band_oracle(point) -> dict:
+    mu, b1, b2 = point
+    return {"class": _band_class(_f_exact(mu, _sin2_of_sides(b1, b2)))}
+
+
+def _band_scalar(point) -> list:
+    return [("class", classify_triangular(SystemParams(*point)).classification.value)]
+
+
+def _band_cli(point) -> list:
+    code, out = _cli("stability", *_params_args(*point))
+    return [("class", code == 0 and json.loads(out)["classification"])]
+
+
+def _band_raster(points, monkeypatch) -> list:
+    """Figure 15 on 2 x 41 grids of (mu, gamma) cells across each seed's band edge, at
+    gamma and pi - gamma, and at the mirrored mass ratio 1 - mu."""
+    cells = []
+    for mu, _, _, sin2, _ in _band_seeds():
+        gamma = math.asin(math.sqrt(sin2))
+        slope = 36 * mu * (1 - mu) * math.sin(2 * gamma)                # |dF/dgamma|
+        for m in (mu, 1.0 - mu):
+            for g in (gamma, math.pi - gamma):
+                window = (_window(m, 2), (g - 4e-14 / slope, g + 4e-14 / slope))
+                monkeypatch.setattr(regions, "_STABILITY_MAP_WINDOW", window)
+                fig15 = regions.stability_map_raster(resolution=(2, 41))
+                for j, y in enumerate(fig15.y_centers().tolist()):
+                    with mp.workdps(60):
+                        s2 = _fraction(mp.sin(mpf(y)) ** 2)
+                    for i, x in enumerate(fig15.x_centers().tolist()):
+                        oracle = {"class": _band_class(_f_exact(x, s2))}
+                        cells.append((oracle, [("class", fig15.legend[fig15.labels[j, i]])]))
+    return cells
+
+
 THRESHOLDS = [
     Threshold(
         "admissibility", _hyperbola_points(), _admissible_oracle, _admissible_scalar,
@@ -321,6 +425,9 @@ THRESHOLDS = [
     Threshold(
         "mu-star", _mu_star_points(), _mu_star_oracle, _mu_star_scalar, _mu_star_cli, 80,
         _mu_star_raster,
+    ),
+    Threshold(
+        "F-bands", _band_points(), _band_oracle, _band_scalar, _band_cli, 20, _band_raster
     ),
 ]
 _IDS = [t.name for t in THRESHOLDS]
