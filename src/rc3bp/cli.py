@@ -14,7 +14,14 @@ takes bytes only: raster CSV rows are built as bytes, and JSON and
 in the one pass that writes it, and a 256 KiB buffer gathers the chunks
 (a 512-wide CSV row is about 20 KB) into large writes. The manifest's
 digests are of the bytes on disk. JSON text is built from pieces joined
-once, and a polyline's rows go through one `%r` template.
+once, and a polyline's rows go through one `%r` template. A file already
+at a path is written over in place and cut to length, not truncated first.
+
+`reproduce-all` builds and writes the figures in two processes on Linux
+with at least 2 CPUs to run on and no other Python thread: this one
+writes `FIGURES[0::2]`, a forked child `FIGURES[1::2]` with the same
+code, and the child sends back its manifest entries, or its error, which
+is raised here again. Otherwise, or with one part, nothing is forked.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric or IO failure.
 No JSON, on stdout or in a figure file or manifest, holds NaN or
@@ -28,7 +35,9 @@ imported inside the handler that uses it, `hashlib` inside `_write`,
 `argparse` in `build_parser`, and `json` only to escape a string outside
 printable ASCII. So `validate` loads nothing else, every subcommand but
 `regions`, `reproduce-all` and `integrate` starts without numpy, and
-`reproduce_all` as a library loads neither `argparse` nor `json`.
+`reproduce_all` as a library loads neither `argparse` nor `json`. Its
+split loads nothing new: `marshal`, `threading` and `warnings` come with
+the interpreter, and `signal` is imported only on a failure.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .params import MAX_CSV_ROWS, SystemParams
 
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Iterator
 
     from . import regions
 
@@ -141,14 +151,21 @@ _WRITE_BUFFER = 2**18    # bytes per write: a 512-wide CSV row is about 20 KB
 
 
 def _write(path: str, chunks) -> str:
-    """Write the bytes chunks to path; return the SHA-256 of exactly those bytes."""
+    """Write the bytes chunks to path; return the SHA-256 of exactly those bytes.
+
+    A file already at path is not truncated first, which would free its blocks for the
+    same bytes to take again: it is written over, then cut to the written length."""
     import hashlib
 
     h = hashlib.sha256()
-    with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
+    without_trunc = lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)
+    with open(path, "wb", buffering=_WRITE_BUFFER, opener=without_trunc) as fh:
+        stale = os.fstat(fh.fileno()).st_size    # 0 for a new file, a pipe or a device
         for chunk in chunks:
             h.update(chunk)
             fh.write(chunk)
+        if stale and fh.tell() < stale:    # a pipe has no position to tell
+            fh.truncate()
     return h.hexdigest()
 
 
@@ -319,19 +336,26 @@ def _cmd_integrate(args) -> dict | str:
     return {"out": args.out, "samples": len(traj.t), "reason": traj.reason}
 
 
-def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
-    """Regenerate every figure dataset into out_dir and write the manifest."""
+def _part_count() -> int:
+    """How many processes build the figures: 2 on Linux with 2 CPUs to run on, else 1. Also 1
+    while another Python thread runs here, since a fork copies only the calling thread and
+    would leave the locks the others hold locked in the child."""
+    import threading
+
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def _write_part(figures, out_dir: str, resolution) -> Iterator[list[dict]]:
+    """Build and write each figure in turn; yield its two manifest entries."""
     from . import regions
 
-    regions._resolution(resolution)    # a bad resolution creates no directory
-    os.makedirs(out_dir, exist_ok=True)
-
-    entries: list[dict] = []
-    for figure in regions.FIGURES:
+    for figure in figures:
         dataset = regions.figure_dataset(figure, resolution=resolution)
         stem = f"figure-{figure:02d}"
         digests = _write_figure(dataset, os.path.join(out_dir, stem))
-        entries.extend(
+        yield [
             {
                 "file": stem + suffix,
                 "subject": f"figure-{figure}",
@@ -339,7 +363,112 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
                 "sha256": digest,
             }
             for suffix, digest in zip((".csv", ".json"), digests)
+        ]
+
+
+def _fork_part(figures, out_dir: str, resolution) -> tuple[int, int]:
+    """Fork a child that runs `_write_part(figures, ...)` and leaves only by os._exit; return
+    its pid and the read end of its pipe. Down the pipe go marshal records (marshal is loaded
+    with the interpreter): a list of manifest entries per figure written, and last, on an
+    error, a (module, class name, args) tuple that raises it again here."""
+    import marshal
+    import warnings
+
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns at a fork in a process with several OS threads, and numpy's
+        # OpenBLAS starts one at import. The child makes no BLAS call: it runs only ufuncs,
+        # hashlib and writes before os._exit. So this warning, and only it, is ignored.
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead",
+            DeprecationWarning,
         )
+        pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    code = 1
+    try:
+        with open(write_end, "wb", buffering=0) as pipe:    # one write per record
+            try:
+                for pair in _write_part(figures, out_dir, resolution):
+                    marshal.dump(pair, pipe)
+            except BaseException as exc:    # sent back; args marshal cannot carry: exit 1
+                args = exc.args
+                if isinstance(exc, OSError) and exc.errno is not None:    # with its file names
+                    args = (exc.errno, exc.strerror, exc.filename, None, exc.filename2)
+                marshal.dump((type(exc).__module__, type(exc).__qualname__, args), pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _records(read_end: int) -> list:
+    """The marshal records a forked part sent, read to the end of its pipe."""
+    import marshal
+
+    records = []
+    with open(read_end, "rb", closefd=False) as pipe:
+        while True:
+            try:
+                records.append(marshal.load(pipe))
+            except EOFError:    # the pipe closed, after the last record or inside it
+                return records
+
+
+def _child_entries(records: list, status: int, figures) -> list[dict]:
+    """The manifest entries of a forked part from its records and wait status; the child's
+    error raised again, or a typed Rc3bpError naming the figures it did not write."""
+    if records and isinstance(records[-1], tuple):
+        module, name, args = records[-1]
+        raise getattr(sys.modules[module], name)(*args)
+    entries = [e for r in records for e in r]
+    written = {e["subject"] for e in entries}
+    unwritten = [str(f) for f in figures if f"figure-{f}" not in written]
+    code = os.waitstatus_to_exitcode(status)
+    if code or unwritten:
+        import signal
+
+        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with {code}"
+        raise Rc3bpError(
+            f"figures {', '.join(unwritten)} were not written: the process building them {how}"
+        )
+    return entries
+
+
+def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
+    """Regenerate every figure dataset into out_dir and write the manifest.
+
+    The figures are split into `_part_count()` fixed parts, `FIGURES[i::n]`. This process
+    builds and writes part 0, and a forked child each other part, with the same code; the
+    manifest takes the entries each child sends back. With one part nothing is forked.
+    """
+    from . import regions
+
+    regions._resolution(resolution)    # a bad resolution creates no directory
+    os.makedirs(out_dir, exist_ok=True)
+
+    n = _part_count()
+    parts = [regions.FIGURES[i::n] for i in range(n)]
+    children: list[tuple[int, int]] = []
+    try:
+        for part in parts[1:]:
+            children.append(_fork_part(part, out_dir, resolution))
+        entries = [e for pair in _write_part(parts[0], out_dir, resolution) for e in pair]
+        replies = [_records(read_end) for _, read_end in children]
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for _, read_end in children:
+            os.close(read_end)
+    statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for records, status, part in zip(replies, statuses, parts[1:]):
+        entries += _child_entries(records, status, part)
     entries.sort(key=lambda e: e["file"])
     manifest = {
         "artifact": "rc3bp",

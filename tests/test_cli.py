@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,7 @@ from mpmath import mp, mpf
 
 from rc3bp import _brent, cli, collinear, regions
 from rc3bp.cli import main
-from rc3bp.errors import ValidationError
+from rc3bp.errors import NumericError, Rc3bpError, ValidationError
 from rc3bp.params import SystemParams
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -461,6 +462,197 @@ def test_reproduce_all_manifest_digest_at_resolution_128(tmp_path):
         for e in manifest["files"]
     }
     assert len(on_disk) == 26 and on_disk == {e["file"]: e["sha256"] for e in manifest["files"]}
+
+
+def _tree(out_dir: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+linux_fork = pytest.mark.skipif(sys.platform != "linux", reason="the figures split on Linux only")
+
+
+@linux_fork
+def test_reproduce_all_in_one_part_and_in_two_writes_the_same_bytes(tmp_path, monkeypatch):
+    # in two parts a forked child builds and writes FIGURES[1::2] with the same code
+    trees = {}
+    for parts in (1, 2):
+        monkeypatch.setattr(cli, "_part_count", lambda parts=parts: parts)
+        cli.reproduce_all(str(tmp_path / str(parts)), resolution=128)
+        trees[parts] = _tree(tmp_path / str(parts))
+    assert len(trees[2]) == 27 and trees[1] == trees[2]
+    digest = hashlib.sha256(trees[2]["manifest.json"]).hexdigest()
+    assert digest == "e09191d174b5116eee4e3723b5556fe192f549237ed8159827af9d463b7eafdd"
+    with pytest.raises(ChildProcessError):    # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@linux_fork
+@pytest.mark.parametrize(
+    "message, ignored",
+    [
+        ("This process (pid={pid}) is multi-threaded, use of fork() may lead to deadlocks in the "
+         "child.", True),
+        ("use of fork() is deprecated", False),
+    ],
+    ids=["threads", "other"],
+)
+def test_only_the_fork_warning_of_a_multi_threaded_process_is_ignored(
+    message, ignored, tmp_path, monkeypatch
+):
+    # Python 3.12+ warns in the parent at a fork with several OS threads (numpy's OpenBLAS
+    # starts one); here the fork emits that warning, word for word, or another one. As with
+    # os.fork, a warning raised as an error loses the child's pid, so the test reaps it.
+    fork, children = os.fork, []
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+            warnings.warn(message.format(pid=os.getpid()), DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(cli, "_part_count", lambda: 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if ignored:
+            cli.reproduce_all(str(tmp_path), resolution=8)
+        else:
+            with pytest.raises(DeprecationWarning, match="^use of fork"):
+                cli.reproduce_all(str(tmp_path), resolution=8)
+            os.waitpid(children.pop(), 0)
+    assert (tmp_path / "manifest.json").exists() == ignored
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_reproduce_all_writes_over_longer_files_without_a_stale_tail(tmp_path):
+    # a reused output directory: each file is written over in place, then cut to length
+    cli.reproduce_all(str(tmp_path / "fresh"), resolution=64)
+    fresh = _tree(tmp_path / "fresh")
+    reused = tmp_path / "reused"
+    reused.mkdir()
+    for name, data in fresh.items():
+        (reused / name).write_bytes(bytes(reversed(data)) * 2)
+    manifest = cli.reproduce_all(str(reused), resolution=64)
+    assert _tree(reused) == fresh
+    on_disk = {e["file"]: hashlib.sha256(fresh[e["file"]]).hexdigest() for e in manifest["files"]}
+    assert len(on_disk) == 26 and on_disk == {e["file"]: e["sha256"] for e in manifest["files"]}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_write_to_a_pipe_or_a_device_does_not_truncate():
+    assert cli._write(os.devnull, [b"abc"]) == hashlib.sha256(b"abc").hexdigest()
+    read_end, write_end = os.pipe()
+    try:
+        assert cli._write(f"/dev/fd/{write_end}", [b"ab", b"c"]) == hashlib.sha256(b"abc").hexdigest()
+        assert os.read(read_end, 8) == b"abc"
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+@linux_fork
+def test_a_child_killed_by_a_signal_is_a_typed_error_naming_its_unwritten_figures(
+    tmp_path, monkeypatch
+):
+    # figure 11 is in the child's part, FIGURES[1::2] = (6, 11, 13, 16, 18, 20)
+    def write_figure(dataset, base):
+        if dataset.figure == 11:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write(dataset, base)
+
+    write = cli._write_figure
+    monkeypatch.setattr(cli, "_write_figure", write_figure)
+    monkeypatch.setattr(cli, "_part_count", lambda: 2)
+    with pytest.raises(Rc3bpError) as exc:
+        cli.reproduce_all(str(tmp_path), resolution=16)
+    assert type(exc.value) is Rc3bpError and exc.value.exit_code == 3
+    assert str(exc.value) == (
+        "figures 11, 13, 16, 18, 20 were not written: the process building them was killed by "
+        "SIGKILL"
+    )
+    assert not (tmp_path / "manifest.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@linux_fork
+def test_a_child_error_is_raised_again_with_its_type_and_message(tmp_path, monkeypatch):
+    def failing(figure, **kwargs):
+        if figure == 13:
+            raise NumericError("figure 13 could not be built")
+        return figure_dataset(figure, **kwargs)
+
+    figure_dataset = regions.figure_dataset
+    monkeypatch.setattr(regions, "figure_dataset", failing)
+    monkeypatch.setattr(cli, "_part_count", lambda: 2)
+    with pytest.raises(NumericError, match="^figure 13 could not be built$"):
+        cli.reproduce_all(str(tmp_path), resolution=16)
+    assert not (tmp_path / "manifest.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@linux_fork
+def test_a_child_error_marshal_cannot_carry_is_a_typed_error_naming_its_unwritten_figures(
+    tmp_path, monkeypatch
+):
+    def failing(figure, **kwargs):
+        if figure == 18:
+            raise ValueError(object())
+        return figure_dataset(figure, **kwargs)
+
+    figure_dataset = regions.figure_dataset
+    monkeypatch.setattr(regions, "figure_dataset", failing)
+    monkeypatch.setattr(cli, "_part_count", lambda: 2)
+    with pytest.raises(Rc3bpError) as exc:
+        cli.reproduce_all(str(tmp_path), resolution=16)
+    assert str(exc.value) == (
+        "figures 18, 20 were not written: the process building them exited with 1"
+    )
+    assert sorted(p.name for p in tmp_path.glob("figure-1[68].*")) == [
+        "figure-16.csv", "figure-16.json"
+    ]
+
+
+_FRESH_PARTS_MAIN = "\n".join(
+    [
+        "import os, sys",
+        "from rc3bp import cli",
+        "cli._part_count = lambda: int(sys.argv[1])",
+        "code = cli.main(sys.argv[2:])",
+        "try:",
+        "    os.waitpid(-1, os.WNOHANG)",
+        "    code = 99    # a child was left",
+        "except ChildProcessError:",
+        "    pass",
+        "sys.exit(code)",
+    ]
+)
+
+
+@linux_fork
+@pytest.mark.parametrize("blocked", ["figure-06.csv", "figure-05.csv"], ids=["child", "parent"])
+def test_an_io_failure_in_either_part_exits_3_naming_the_path(blocked, tmp_path):
+    # a directory where a CSV should go: the child's part (figure 6) or the parent's (figure 5,
+    # its first, so the child is still running and is killed)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    results = []
+    for parts in ("2", "1"):
+        out_dir = tmp_path / parts
+        (out_dir / blocked).mkdir(parents=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_PARTS_MAIN, parts, "reproduce-all", "--resolution=16",
+             f"--out={out_dir}"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith(f"io failure ({out_dir / blocked}): ")
+        assert not (out_dir / "manifest.json").exists()
+        results.append(proc.stderr.replace(str(out_dir), "OUT"))
+    assert results[0] == results[1]
 
 
 def test_regions_writes_csv_and_json(tmp_path, capsys):
