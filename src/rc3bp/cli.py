@@ -20,8 +20,9 @@ at a path is written over in place and cut to length, not truncated first.
 `reproduce-all` builds and writes the figures in two processes on Linux
 with at least 2 CPUs to run on and no other Python thread: this one
 writes `FIGURES[0::2]`, a forked child `FIGURES[1::2]` with the same
-code, and the child sends back its manifest entries, or its error, which
-is raised here again. Otherwise, or with one part, nothing is forked.
+code, sending back each figure's manifest entries. The child only saves
+time: this process then builds each figure the child did not report, so
+every error, whatever stopped the child, is raised here on one path.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric or IO failure.
 No JSON, on stdout or in a figure file or manifest, holds NaN or
@@ -368,9 +369,9 @@ def _write_part(figures, out_dir: str, resolution) -> Iterator[list[dict]]:
 
 def _fork_part(figures, out_dir: str, resolution) -> tuple[int, int]:
     """Fork a child that runs `_write_part(figures, ...)` and leaves only by os._exit; return
-    its pid and the read end of its pipe. Down the pipe go marshal records (marshal is loaded
-    with the interpreter): a list of manifest entries per figure written, and last, on an
-    error, a (module, class name, args) tuple that raises it again here."""
+    its pid and the read end of its pipe. Down the pipe goes one marshal record (marshal is
+    loaded with the interpreter) per figure once both its files are closed: its manifest
+    entries. An error just ends the child. A failed fork closes the pipe and raises."""
     import marshal
     import warnings
 
@@ -383,24 +384,21 @@ def _fork_part(figures, out_dir: str, resolution) -> tuple[int, int]:
             "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead",
             DeprecationWarning,
         )
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
     if pid:
         os.close(write_end)
         return pid, read_end
-    code = 1
     try:
         with open(write_end, "wb", buffering=0) as pipe:    # one write per record
-            try:
-                for pair in _write_part(figures, out_dir, resolution):
-                    marshal.dump(pair, pipe)
-            except BaseException as exc:    # sent back; args marshal cannot carry: exit 1
-                args = exc.args
-                if isinstance(exc, OSError) and exc.errno is not None:    # with its file names
-                    args = (exc.errno, exc.strerror, exc.filename, None, exc.filename2)
-                marshal.dump((type(exc).__module__, type(exc).__qualname__, args), pipe)
-        code = 0
+            for pair in _write_part(figures, out_dir, resolution):
+                marshal.dump(pair, pipe)
     finally:
-        os._exit(code)
+        os._exit(0)
 
 
 def _records(read_end: int) -> list:
@@ -416,59 +414,44 @@ def _records(read_end: int) -> list:
                 return records
 
 
-def _child_entries(records: list, status: int, figures) -> list[dict]:
-    """The manifest entries of a forked part from its records and wait status; the child's
-    error raised again, or a typed Rc3bpError naming the figures it did not write."""
-    if records and isinstance(records[-1], tuple):
-        module, name, args = records[-1]
-        raise getattr(sys.modules[module], name)(*args)
-    entries = [e for r in records for e in r]
-    written = {e["subject"] for e in entries}
-    unwritten = [str(f) for f in figures if f"figure-{f}" not in written]
-    code = os.waitstatus_to_exitcode(status)
-    if code or unwritten:
-        import signal
-
-        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with {code}"
-        raise Rc3bpError(
-            f"figures {', '.join(unwritten)} were not written: the process building them {how}"
-        )
-    return entries
-
-
 def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
     """Regenerate every figure dataset into out_dir and write the manifest.
 
-    The figures are split into `_part_count()` fixed parts, `FIGURES[i::n]`. This process
-    builds and writes part 0, and a forked child each other part, with the same code; the
-    manifest takes the entries each child sends back. With one part nothing is forked.
+    This process builds and writes `FIGURES[::2]`, then every other figure that no forked
+    child reported. With `_part_count()` = 2 a child builds `FIGURES[1::2]` meanwhile, with
+    the same code, and is reaped first; it only saves time, so that every error, whatever
+    stopped the child, is raised here. With one part, or if the fork fails, there is none.
     """
     from . import regions
 
     regions._resolution(resolution)    # a bad resolution creates no directory
     os.makedirs(out_dir, exist_ok=True)
 
-    n = _part_count()
-    parts = [regions.FIGURES[i::n] for i in range(n)]
-    children: list[tuple[int, int]] = []
+    child = None
+    if _part_count() > 1:
+        try:
+            child = _fork_part(regions.FIGURES[1::2], out_dir, resolution)
+        except OSError:    # no fork, say EAGAIN at a process limit: this process builds all
+            pass
     try:
-        for part in parts[1:]:
-            children.append(_fork_part(part, out_dir, resolution))
-        entries = [e for pair in _write_part(parts[0], out_dir, resolution) for e in pair]
-        replies = [_records(read_end) for _, read_end in children]
+        entries = [e for p in _write_part(regions.FIGURES[::2], out_dir, resolution) for e in p]
+        records = _records(child[1]) if child else []
     except BaseException:
-        import signal
+        if child:
+            import signal
 
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            os.kill(child[0], signal.SIGKILL)
+            os.waitpid(child[0], 0)
         raise
     finally:
-        for _, read_end in children:
-            os.close(read_end)
-    statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for records, status, part in zip(replies, statuses, parts[1:]):
-        entries += _child_entries(records, status, part)
+        if child:
+            os.close(child[1])
+    if child:
+        os.waitpid(child[0], 0)    # reaped first: no file of its part has two writers
+    entries += [e for record in records for e in record]
+    done = {e["subject"] for e in entries}
+    rest = [f for f in regions.FIGURES if f"figure-{f}" not in done]
+    entries += [e for pair in _write_part(rest, out_dir, resolution) for e in pair]
     entries.sort(key=lambda e: e["file"])
     manifest = {
         "artifact": "rc3bp",

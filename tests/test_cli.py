@@ -1,6 +1,7 @@
 """CLI dispatch: output schemas, file formats, exit codes, manifest."""
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from mpmath import mp, mpf
 
 from rc3bp import _brent, cli, collinear, regions
 from rc3bp.cli import main
-from rc3bp.errors import NumericError, Rc3bpError, ValidationError
+from rc3bp.errors import NumericError, ValidationError
 from rc3bp.params import SystemParams
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -553,28 +554,56 @@ def test_write_to_a_pipe_or_a_device_does_not_truncate():
 
 
 @linux_fork
-def test_a_child_killed_by_a_signal_is_a_typed_error_naming_its_unwritten_figures(
-    tmp_path, monkeypatch
-):
-    # figure 11 is in the child's part, FIGURES[1::2] = (6, 11, 13, 16, 18, 20)
+def test_figures_a_child_killed_by_a_signal_did_not_report_are_built_here(tmp_path, monkeypatch):
+    # figure 11 is in the child's part, FIGURES[1::2] = (6, 11, 13, 16, 18, 20); the child
+    # kills itself there, and this process builds 11 and the rest of the part after it
     def write_figure(dataset, base):
-        if dataset.figure == 11:
+        if dataset.figure == 11 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return write(dataset, base)
 
-    write = cli._write_figure
+    parent, write = os.getpid(), cli._write_figure
+    monkeypatch.setattr(cli, "_part_count", lambda: 1)
+    cli.reproduce_all(str(tmp_path / "1"), resolution=128)
     monkeypatch.setattr(cli, "_write_figure", write_figure)
     monkeypatch.setattr(cli, "_part_count", lambda: 2)
-    with pytest.raises(Rc3bpError) as exc:
-        cli.reproduce_all(str(tmp_path), resolution=16)
-    assert type(exc.value) is Rc3bpError and exc.value.exit_code == 3
-    assert str(exc.value) == (
-        "figures 11, 13, 16, 18, 20 were not written: the process building them was killed by "
-        "SIGKILL"
-    )
-    assert not (tmp_path / "manifest.json").exists()
+    cli.reproduce_all(str(tmp_path / "2"), resolution=128)
+    tree = _tree(tmp_path / "2")
+    assert len(tree) == 27 and tree == _tree(tmp_path / "1")
+    digest = hashlib.sha256(tree["manifest.json"]).hexdigest()
+    assert digest == "e09191d174b5116eee4e3723b5556fe192f549237ed8159827af9d463b7eafdd"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@linux_fork
+def test_this_process_builds_only_its_own_part_while_the_child_works(tmp_path, monkeypatch):
+    # the child's calls land in the child's copy of `built`, so this list is this process's
+    def counted(figure, **kwargs):
+        built.append(figure)
+        return figure_dataset(figure, **kwargs)
+
+    built, figure_dataset = [], regions.figure_dataset
+    monkeypatch.setattr(regions, "figure_dataset", counted)
+    monkeypatch.setattr(cli, "_part_count", lambda: 2)
+    manifest = cli.reproduce_all(str(tmp_path), resolution=16)
+    assert tuple(built) == regions.FIGURES[0::2] and len(manifest["files"]) == 26
+
+
+@linux_fork
+def test_a_failed_fork_leaves_every_figure_to_this_process(tmp_path, monkeypatch):
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(cli, "_part_count", lambda: 1)
+    cli.reproduce_all(str(tmp_path / "1"), resolution=16)
+    monkeypatch.setattr(cli, "_part_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    cli.reproduce_all(str(tmp_path / "2"), resolution=16)
+    assert len(os.listdir("/proc/self/fd")) == fds    # the pipe's two ends were closed
+    tree = _tree(tmp_path / "2")
+    assert len(tree) == 27 and tree == _tree(tmp_path / "1")
 
 
 @linux_fork
@@ -595,25 +624,26 @@ def test_a_child_error_is_raised_again_with_its_type_and_message(tmp_path, monke
 
 
 @linux_fork
-def test_a_child_error_marshal_cannot_carry_is_a_typed_error_naming_its_unwritten_figures(
-    tmp_path, monkeypatch
-):
+def test_a_child_error_marshal_cannot_carry_is_raised_here_as_itself(tmp_path, monkeypatch):
+    # the child stops at figure 18 having written 6, 11, 13 and 16; this process builds 18
+    # next and raises its own ValueError, as it would in one part
     def failing(figure, **kwargs):
         if figure == 18:
-            raise ValueError(object())
+            raise ValueError(marker)
         return figure_dataset(figure, **kwargs)
 
-    figure_dataset = regions.figure_dataset
+    marker, figure_dataset = object(), regions.figure_dataset
     monkeypatch.setattr(regions, "figure_dataset", failing)
     monkeypatch.setattr(cli, "_part_count", lambda: 2)
-    with pytest.raises(Rc3bpError) as exc:
+    with pytest.raises(ValueError) as exc:
         cli.reproduce_all(str(tmp_path), resolution=16)
-    assert str(exc.value) == (
-        "figures 18, 20 were not written: the process building them exited with 1"
-    )
-    assert sorted(p.name for p in tmp_path.glob("figure-1[68].*")) == [
+    assert type(exc.value) is ValueError and exc.value.args == (marker,)
+    assert sorted(p.name for p in tmp_path.glob("figure-[12][068].*")) == [
         "figure-16.csv", "figure-16.json"
     ]
+    assert not (tmp_path / "manifest.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 _FRESH_PARTS_MAIN = "\n".join(

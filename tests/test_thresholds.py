@@ -2,11 +2,13 @@
 
 One table entry per threshold: admissibility (beta1 - 1)(beta2 - 1) < 1, the
 three degeneracy lines of the triangle with sides delta_i = beta_i**(1/3) and 1,
-walked in beta, and the critical mass mu* = 1/2 - sqrt(2)/3. Each entry walks
-its inputs a few ulp either side of points on the threshold, and the mirrored
-inputs (mu, beta1, beta2) -> (1 - mu, beta2, beta1) too. It checks three of the
-library's decisions against an oracle that shares no code with the package: the
-scalar API, the CLI, and a figure raster on one-row grids through the walk.
+walked in beta, the critical mass mu* = 1/2 - sqrt(2)/3, the edges of the F = 0
+and F = 1 bands and the location lines, where the pair is above or below a body.
+Each entry walks its inputs a few ulp either side of points on the threshold,
+and the mirrored inputs (mu, beta1, beta2) -> (1 - mu, beta2, beta1) too. It
+checks the library's decisions against an oracle that shares no code with the
+package: the scalar API, the CLI, and a figure raster on one-row grids through
+the walk. The location lines have no raster entry: no figure labels location.
 
 A decision is a (name, value) pair. At each point every value of a name must
 agree, and equal the oracle's, except where the oracle leaves the name open
@@ -14,6 +16,7 @@ agree, and equal the oracle's, except where the oracle leaves the name open
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -31,7 +34,7 @@ from rc3bp.collinear import BetaRegion, Interval, classify_region, limit_colline
 from rc3bp.errors import BelowCriticalMass, NoTriangularSolution, NotOnTriangularLocus
 from rc3bp.params import SystemParams, is_admissible
 from rc3bp.stability import StabilityClass, classify_triangular, critical_mu, gamma_mu, gamma_of
-from rc3bp.triangular import triangular_exists, triangular_points
+from rc3bp.triangular import classify_location, triangular_exists, triangular_points
 from formula_oracles import admissible_exactly, pair_exists_exactly
 
 
@@ -70,7 +73,8 @@ def _params_args(mu: float, b1: float, b2: float) -> list[str]:
 class Threshold(NamedTuple):
     """One walked threshold: its points, the oracle's decisions at a point (a dict),
     and the library's as (name, value) pairs, from the scalar API and from the CLI
-    (at every `cli_every`-th point), and from rasters as (oracle, decisions) per cell."""
+    (at every `cli_every`-th point), and from rasters as (oracle, decisions) per cell,
+    where a figure labels the decision."""
 
     name: str
     points: list
@@ -78,7 +82,7 @@ class Threshold(NamedTuple):
     scalar: Callable
     cli: Callable
     cli_every: int
-    raster: Callable
+    raster: Callable | None
 
 
 def _disagreements(oracle: dict, decisions: list) -> bool:
@@ -414,6 +418,64 @@ def _band_raster(points, monkeypatch) -> list:
     return cells
 
 
+# ---------------------------------------------------------------------------
+# the location lines: the pair is above or below body 1 (body 2) where |xL + mu|
+# (|xL - (1 - mu)|) is within _LOCATION_ATOL = 1e-12, that is where |t| - 1 is within
+# 2e-12 of 0, t = delta1**2 - delta2**2. Each walk, 40 ulp in each beta, starts on
+# |t| - 1 = 0 or on either tolerance edge. The oracle leaves points within 1e-15 of an
+# edge open, since the library forms t in floats from cube roots up to about 7 ulp off
+# (ROADMAP item 9): at a 1e-16 margin 508 of 35,866 decided points disagree, 312 of
+# them because of the rounded cube roots and the rest because of the rounding of t.
+# Figure 7 draws the pair but does not label its location, so there is no raster entry.
+
+_LOCATION_EDGE, _LOCATION_MARGIN = 2 * mpf(1e-12), mpf(1e-15)
+
+
+def _location_points() -> list:
+    """40 draws of the near side delta in (0.1, 0.95), each on |t| - 1 = 0 and +-2e-12 on
+    body 2's side (t > 0) or body 1's, by turns; the mirror walks the other body."""
+    rng, points = random.Random(39), []
+    for i in range(40):
+        d_near = mpf(rng.uniform(0.1, 0.95))
+        for edge in (-_LOCATION_EDGE, 0, _LOCATION_EDGE):
+            with mp.workdps(60):
+                far, near = float(mp.sqrt(1 + d_near**2 + edge) ** 3), float(d_near**3)
+            points += _walk(0.2, *((far, near) if i % 2 else (near, far)), 40)
+    return points
+
+
+@functools.lru_cache(maxsize=1024)
+def _cbrt60(beta: float):
+    """The cube root of beta to 60 digits, cached: a walk in one beta repeats the other, and
+    its mirror both."""
+    with mp.workdps(60):
+        return mp.cbrt(mpf(beta))
+
+
+def _location_oracle(point) -> dict:
+    _, b1, b2 = point
+    with mp.workdps(60):
+        t = _cbrt60(b1) ** 2 - _cbrt60(b2) ** 2
+        edge = abs(t) - 1
+        if abs(abs(edge) - _LOCATION_EDGE) <= _LOCATION_MARGIN:
+            return {"location": None}
+        body = 2 if t > 0 else 1
+        if abs(edge) <= _LOCATION_EDGE:
+            return {"location": f"above-below-body-{body}"}
+    if edge > 0:
+        return {"location": "right-of-body-2" if body == 2 else "left-of-body-1"}
+    return {"location": "between"}
+
+
+def _location_scalar(point) -> list:
+    return [("location", classify_location(SystemParams(*point)).value)]
+
+
+def _location_cli(point) -> list:
+    code, out = _cli("equilibria", *_params_args(*point), "--kind=triangular")
+    return [("location", code == 0 and json.loads(out)["location"])]
+
+
 THRESHOLDS = [
     Threshold(
         "admissibility", _hyperbola_points(), _admissible_oracle, _admissible_scalar,
@@ -428,6 +490,10 @@ THRESHOLDS = [
     ),
     Threshold(
         "F-bands", _band_points(), _band_oracle, _band_scalar, _band_cli, 20, _band_raster
+    ),
+    Threshold(
+        "location-lines", _location_points(), _location_oracle, _location_scalar,
+        _location_cli, 80, None,
     ),
 ]
 _IDS = [t.name for t in THRESHOLDS]
@@ -460,7 +526,7 @@ def test_cli_agrees_with_the_oracle(threshold, tmp_path, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS, ids=_IDS)
+@pytest.mark.parametrize("threshold", [t for t in THRESHOLDS if t.raster], ids=lambda t: t.name)
 def test_raster_agrees_with_the_oracle(threshold, monkeypatch):
     cells = threshold.raster(threshold.points, monkeypatch)
     _assert_none_disagree(threshold, [(None, oracle, got) for oracle, got in cells])
