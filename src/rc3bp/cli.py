@@ -8,14 +8,7 @@ shortest round-trip form in JSON), so identical inputs yield
 byte-identical outputs.
 
 Each handler returns its result, a JSON payload or `integrate`'s CSV
-text. `main` alone writes stdout, and `_write` alone writes files. It
-takes bytes only: raster CSV rows are built as bytes, and JSON and
-`integrate`'s CSV are encoded once before the call. It hashes each chunk
-in the one pass that writes it, and a 256 KiB buffer gathers the chunks
-(a 512-wide CSV row is about 20 KB) into large writes. The manifest's
-digests are of the bytes on disk. JSON text is built from pieces joined
-once, and a polyline's rows go through one `%r` template. A file already
-at a path is written over in place and cut to length, not truncated first.
+text. `main` alone writes stdout, and `_write` alone writes files.
 
 `reproduce-all` builds and writes the figures in two processes on Linux
 with at least 2 CPUs to run on and no other Python thread: this one
@@ -23,6 +16,8 @@ writes `FIGURES[0::2]`, a forked child `FIGURES[1::2]` with the same
 code, sending back each figure's manifest entries. The child only saves
 time: this process then builds each figure the child did not report, so
 every error, whatever stopped the child, is raised here on one path.
+A directory holds a `manifest.json` only after a run that completed: a
+run removes the old one before it writes any figure.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric or IO failure.
 No JSON, on stdout or in a figure file or manifest, holds NaN or
@@ -67,69 +62,62 @@ def _json_text(payload: dict) -> str:
     """`json.dumps(payload, sort_keys=True, indent=2)`, byte for byte, from pieces joined
     once; NumericError naming each value that is not a finite double, in written order:
     `orbit.r0`, `l4[1]`."""
-    bad: list[str] = []
     out: list[str] = []
-
-    def string(s: str) -> str:    # json's own escapes for anything but printable ASCII
-        if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-            return '"' + s + '"'
-        import json
-
-        return json.dumps(s)
-
-    def members(ends: str, items: list, nl: str) -> None:
-        """A non-empty container: per (head, value, key) item its head, then its value."""
-        inner = nl + "  "
-        sep = ends[0] + inner
-        for head, value, key in items:
-            out.append(sep + head)
-            text(value, key, inner)
-            sep = "," + inner
-        out.append(nl + ends[1])
-
-    def text(value, key: str, nl: str) -> None:
-        inner = nl + "  "
-        if getattr(value, "ndim", 0) == 2 and value.dtype == float and value.shape[1]:
-            # a polyline: every row through one template, unless some repr is inf or nan,
-            # the only float reprs with an "n"; then the general path names the values
-            cell = inner + "  %r"
-            row = "[" + ",".join([cell] * value.shape[1]) + inner + "]"
-            rows = ("," + inner).join([row % tuple(r) for r in value.tolist()])
-            if "n" not in rows:
-                out.extend(["[" + inner, rows, nl + "]"] if rows else ["[]"])
-                return
-        if hasattr(value, "tolist"):    # a numpy array or scalar
-            value = value.tolist()
-        if isinstance(value, (dict, list, tuple)) and not value:
-            out.append("{}" if isinstance(value, dict) else "[]")
-        elif isinstance(value, dict):
-            items = sorted(value.items())
-            members("{}", [(string(k) + ": ", v, f"{key}.{k}" if key else k) for k, v in items], nl)
-        elif isinstance(value, (list, tuple)):
-            if all([type(v) is float for v in value]) and all(map(math.isfinite, value)):
-                # one join per list of finite floats
-                out.extend(["[" + inner, ("," + inner).join(map(float.__repr__, value)), nl + "]"])
-            else:
-                members("[]", [("", v, f"{key}[{i}]") for i, v in enumerate(value)], nl)
-        elif isinstance(value, str):
-            out.append(string(value))
-        elif isinstance(value, float):
-            if not math.isfinite(value):
-                bad.append(f"{key} = {float.__repr__(value)}")
-            out.append(float.__repr__(value))
-        elif value is None or isinstance(value, bool):
-            out.append("null" if value is None else "true" if value else "false")
-        elif isinstance(value, int):
-            out.append(int.__repr__(value))
-        else:
-            raise TypeError(f"not JSON-serializable: {type(value)!r}")
-
-    text(payload, "", "\n")
-    del text, members    # closures that refer to each other: free them now, not at a collection
+    bad: list[str] = []
+    _json_value(payload, "", "\n", out, bad)
     if bad:
         listed = ", ".join(bad[:4]) + (f" and {len(bad) - 4} more" if len(bad) > 4 else "")
         raise NumericError(f"the result is not a finite double: {listed}")
     return "".join(out)
+
+
+def _json_string(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json    # json's own escapes for anything but printable ASCII
+
+    return json.dumps(s)
+
+
+def _json_value(value, key: str, nl: str, out: list[str], bad: list[str]) -> None:
+    """Append the JSON text of the value at `key`, its lines indented by `nl`, to out, and
+    `key = repr` of each float in it that is not finite to bad."""
+    inner = nl + "  "
+    if getattr(value, "ndim", 0) == 2 and value.dtype == float and value.shape[1]:
+        # a polyline: every row through one template, unless some repr is inf or nan,
+        # the only float reprs with an "n"; then the general path names the values
+        cell = inner + "  %r"
+        row = "[" + ",".join([cell] * value.shape[1]) + inner + "]"
+        rows = ("," + inner).join([row % tuple(r) for r in value.tolist()])
+        if "n" not in rows:
+            out.extend(["[" + inner, rows, nl + "]"] if rows else ["[]"])
+            return
+    if hasattr(value, "tolist"):    # a numpy array or scalar
+        value = value.tolist()
+    if isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):
+            ends, items = "{}", [(_json_string(k) + ": ", v, f"{key}.{k}" if key else k)
+                                 for k, v in sorted(value.items())]
+        else:
+            ends, items = "[]", [("", v, f"{key}[{i}]") for i, v in enumerate(value)]
+        sep = ends[0] + inner
+        for head, item, item_key in items:
+            out.append(sep + head)
+            _json_value(item, item_key, inner, out, bad)
+            sep = "," + inner
+        out.append(nl + ends[1] if items else ends)
+    elif isinstance(value, str):
+        out.append(_json_string(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            bad.append(f"{key} = {float.__repr__(value)}")
+        out.append(float.__repr__(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"not JSON-serializable: {type(value)!r}")
 
 
 def _floats(names: str):
@@ -279,8 +267,9 @@ def _raster_csv_lines(raster: regions.RegionRaster):
         yield _fmt(yv).encode().join(pieces)
 
 
-def _write_figure(dataset: regions.FigureDataset, base: str) -> list[str]:
-    """Write the figure to base.csv and base.json; return the SHA-256 of each file's bytes."""
+def _write_figure(dataset: regions.FigureDataset, base: str) -> list[dict]:
+    """Write the figure to base.csv and base.json; return their manifest entries, in that
+    order: each file's name in its directory, subject, parameters and SHA-256."""
     meta = _json_text(
         {
             "figure": dataset.figure,
@@ -289,19 +278,28 @@ def _write_figure(dataset: regions.FigureDataset, base: str) -> list[str]:
             "curves": dataset.curves,
         }
     )
+    files = [(".csv", _raster_csv_lines(dataset.raster)), (".json", [meta.encode(), b"\n"])]
     return [
-        _write(base + ".csv", _raster_csv_lines(dataset.raster)),
-        _write(base + ".json", [meta.encode(), b"\n"]),
+        {
+            "file": os.path.basename(base) + suffix,
+            "subject": f"figure-{dataset.figure}",
+            "parameters": dataset.parameters,
+            "sha256": _write(base + suffix, chunks),
+        }
+        for suffix, chunks in files
     ]
 
 
 def _cmd_regions(args) -> dict:
     from . import regions
 
-    dataset = regions.figure_dataset(args.figure, mu=args.mu, resolution=args.resolution)
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
-    _write_figure(dataset, base)
-    return {"figure": args.figure, "csv": base + ".csv", "json": base + ".json"}
+    stem = os.path.basename(base)
+    if stem in ("", ".", ".."):
+        raise ValidationError(f"--out {args.out!r} has no file name to derive .csv and .json from")
+    dataset = regions.figure_dataset(args.figure, mu=args.mu, resolution=args.resolution)
+    csv_path, json_path = [base[: -len(stem)] + e["file"] for e in _write_figure(dataset, base)]
+    return {"figure": args.figure, "csv": csv_path, "json": json_path}
 
 
 def _cmd_integrate(args) -> dict | str:
@@ -354,17 +352,7 @@ def _write_part(figures, out_dir: str, resolution) -> Iterator[list[dict]]:
 
     for figure in figures:
         dataset = regions.figure_dataset(figure, resolution=resolution)
-        stem = f"figure-{figure:02d}"
-        digests = _write_figure(dataset, os.path.join(out_dir, stem))
-        yield [
-            {
-                "file": stem + suffix,
-                "subject": f"figure-{figure}",
-                "parameters": dataset.parameters,
-                "sha256": digest,
-            }
-            for suffix, digest in zip((".csv", ".json"), digests)
-        ]
+        yield _write_figure(dataset, os.path.join(out_dir, f"figure-{figure:02d}"))
 
 
 def _fork_part(figures, out_dir: str, resolution) -> tuple[int, int]:
@@ -426,6 +414,11 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
 
     regions._resolution(resolution)    # a bad resolution creates no directory
     os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    try:    # only a run that completes leaves a manifest
+        os.remove(manifest_path)
+    except FileNotFoundError:
+        pass
 
     child = None
     if _part_count() > 1:
@@ -459,7 +452,7 @@ def reproduce_all(out_dir: str, resolution: int | None = None) -> dict:
         "parameters": {"resolution": resolution or regions._DEFAULT_RESOLUTION},
         "files": entries,
     }
-    _write(os.path.join(out_dir, "manifest.json"), [_json_text(manifest).encode(), b"\n"])
+    _write(manifest_path, [_json_text(manifest).encode(), b"\n"])
     return manifest
 
 

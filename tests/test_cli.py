@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -685,6 +686,26 @@ def test_an_io_failure_in_either_part_exits_3_naming_the_path(blocked, tmp_path)
     assert results[0] == results[1]
 
 
+def test_a_failed_rerun_leaves_no_manifest_behind(tmp_path, capsys):
+    # a directory holds a manifest.json only after a run that completed: the resolution-8
+    # manifest would list digests that the files of the failed run no longer have
+    assert run(capsys, "reproduce-all", "--resolution", "8", "--out", str(tmp_path))[0] == 0
+    (tmp_path / "figure-13.csv").unlink()
+    (tmp_path / "figure-13.csv").mkdir()
+    code, out, err = run(capsys, "reproduce-all", "--resolution", "16", "--out", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"io failure ({tmp_path / 'figure-13.csv'}): ")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_a_manifest_path_that_is_a_directory_fails_before_any_figure(tmp_path, capsys):
+    (tmp_path / "manifest.json").mkdir()
+    code, out, err = run(capsys, "reproduce-all", "--resolution", "8", "--out", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"io failure ({tmp_path / 'manifest.json'}): ")
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 def test_regions_writes_csv_and_json(tmp_path, capsys):
     base = tmp_path / "fig11"
     code, out, _ = run(
@@ -771,6 +792,25 @@ def test_json_that_is_not_finite_names_its_keys_in_written_order():
     with pytest.raises(cli.NumericError) as info:
         cli._json_text({"curves": {"polylines": {"p": points, "q": points[:2]}}})
     assert str(info.value) == "the result is not a finite double: curves.polylines.p[3][1] = nan"
+
+
+def test_json_text_leaves_no_reference_cycle():
+    # with the collector off, what only a collection can free is found by the next one
+    payload = {"a": [0.5, {"b": np.ones((3, 2))}], "s": "é", "n": None}
+    raised, found = [], []
+    gc.collect()
+    gc.disable()
+    try:
+        for value in (payload, {"x": math.inf}, {"x": object()}):
+            try:
+                cli._json_text(value)
+                raised.append(None)
+            except (NumericError, TypeError) as exc:
+                raised.append(type(exc))
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert raised == [None, NumericError, TypeError] and found == [0, 0, 0]
 
 
 def _json_dumps(payload) -> str:
@@ -876,6 +916,17 @@ def test_regions_io_failure_exits_three(capsys):
     )
     assert code == 3
     assert "/nonexistent-dir/f.csv" in err
+
+
+@pytest.mark.parametrize("out", ["", ".csv", "sub/", ".", "sub/.."])
+def test_regions_out_without_a_file_name_exits_2(out, tmp_path, monkeypatch, capsys):
+    # each would name hidden files such as ".csv" and ".json", or "..csv" and "..json"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, stdout, err = run(capsys, "regions", "--figure", "5", "--resolution", "8", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out {out!r} has no file name to derive .csv and .json from\n"
+    assert list(tmp_path.rglob("*")) == [tmp_path / "sub"]
 
 
 def test_integrate_csv_schema_and_conservation(capsys):
@@ -1036,3 +1087,25 @@ def test_reproduce_all_is_deterministic(tmp_path, capsys):
     assert run(capsys, "reproduce-all", "--out", str(b), "--resolution", "12")[0] == 0
     for p in sorted(a.iterdir()):
         assert p.read_bytes() == (b / p.name).read_bytes()
+
+
+def test_regions_writes_the_files_of_reproduce_all(tmp_path, capsys):
+    # one writer: `regions` with each figure's default mu writes byte for byte the two files
+    # that `reproduce-all` writes, and its manifest holds their digests
+    code = run(capsys, "reproduce-all", "--resolution", "16", "--out", str(tmp_path / "all"))[0]
+    assert code == 0
+    written = _tree(tmp_path / "all")
+    manifest = json.loads(written.pop("manifest.json"))
+    (tmp_path / "one").mkdir()
+    for figure in regions.FIGURES:
+        base = str(tmp_path / "one" / f"figure-{figure:02d}")
+        code, out, _ = run(
+            capsys, "regions", "--figure", str(figure), "--resolution", "16", "--out", base
+        )
+        assert code == 0 and json.loads(out) == {
+            "figure": figure, "csv": base + ".csv", "json": base + ".json"
+        }
+    one = _tree(tmp_path / "one")
+    assert len(one) == 26 and one == written
+    digests = {e["file"]: e["sha256"] for e in manifest["files"]}
+    assert {f: hashlib.sha256(data).hexdigest() for f, data in one.items()} == digests
